@@ -16,7 +16,7 @@
 //
 // The ASYNC mode re-runs the faster strategies through the stream
 // scheduler (src/stream/): a bounded ingress queue feeds an epoch
-// assembler that coalesces and stages batches off the maintenance thread,
+// assembler that groups and stages batches off the maintenance thread,
 // a committer splices epoch N+1's chunks concurrently with epoch N's
 // propagation (watermark-overlapped commits), and an applier maintains
 // the epochs over the same ExecPolicy. Results are bit-identical to the
@@ -26,7 +26,7 @@
 // With --epoch-rows-sweep the harness additionally sweeps the F-IVM async
 // path over epoch sizes (epoch_rows in multiples of the batch size),
 // reporting throughput, async/serial ratio and latency per size — the
-// epoch-size knob trades epoch latency against coalescing/overlap gain,
+// epoch-size knob trades epoch latency against commit batching/overlap gain,
 // and the sweep records that whole tradeoff curve in the trajectory.
 #include <algorithm>
 #include <cstdio>
@@ -255,9 +255,10 @@ void Run(bool epoch_sweep) {
   }
 
   // --- Async pipelined mode (src/stream/) --------------------------------
-  // The scheduler coalesces batches into epochs, stages ingestion off the
-  // maintenance thread, and maintains independent view groups
-  // concurrently; output is bit-identical to the serial epoch replay. The
+  // The scheduler groups batches into epochs (sealed at the bounds or
+  // early when its maintainer idles), stages ingestion off the maintenance
+  // thread, and maintains every batch as its own delta; output is
+  // bit-identical to the serial epoch replay and the per-batch loop. The
   // first-order baseline is skipped — it times out already in serial mode
   // at default scale, so an async ratio would compare two truncations.
   StreamOptions stream_options;
@@ -273,7 +274,7 @@ void Run(bool epoch_sweep) {
   auto report_async = [&](const char* name, const char* tag,
                           const AsyncResult& async, const DriveResult& serial) {
     std::printf(
-        "  %-11s %11.0f tuples/s  (%zu epochs, %zu coalesced ranges, "
+        "  %-11s %11.0f tuples/s  (%zu epochs, %zu ranges, "
         "epoch latency mean %.2f ms / max %.2f ms)%s\n",
         name, async.tuples_per_sec(), async.stats.epochs, async.stats.ranges,
         async.stats.epoch_latency_mean_seconds * 1e3,
@@ -350,7 +351,7 @@ void Run(bool epoch_sweep) {
 
   // --- Epoch-size sweep (--epoch-rows-sweep) -----------------------------
   // Small epochs minimize seal->applied latency but commit and propagate
-  // often; large epochs coalesce more rows per delta and give the
+  // often; large epochs commit more rows per chunk and give the
   // committer more to overlap. Each size runs with the speculative compute
   // stage ON and OFF, so the trajectory records what multi-epoch delta
   // pipelining buys (or costs) at every point of the tradeoff curve,

@@ -106,15 +106,6 @@ std::vector<std::vector<int>> IndependentViewGroups(const RootedTree& tree) {
   return groups;
 }
 
-std::vector<int> ViewGroupOf(const RootedTree& tree) {
-  const std::vector<std::vector<int>> groups = IndependentViewGroups(tree);
-  std::vector<int> group_of(tree.num_nodes(), 0);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (int v : groups[g]) group_of[v] = static_cast<int>(g);
-  }
-  return group_of;
-}
-
 void MarkAncestorClosure(const RootedTree& tree, int node,
                          std::vector<uint8_t>* mask) {
   for (int v = node; v >= 0; v = tree.node(v).parent) {

@@ -108,12 +108,6 @@ class ExecContext {
 // done.
 std::vector<std::vector<int>> IndependentViewGroups(const RootedTree& tree);
 
-// Per-node group index of IndependentViewGroups: group_of[v] == g iff v is
-// in groups[g] (0 is the deepest group, the root group is last). The
-// stream scheduler orders epoch ranges by this — same-group nodes are
-// never ancestor/descendant, so their deltas can be computed concurrently.
-std::vector<int> ViewGroupOf(const RootedTree& tree);
-
 // Sets mask[u] = 1 for `node` and every ancestor of `node` up to the root
 // (mask is indexed by node id and must already have num_nodes entries;
 // already-marked entries short-circuit the walk). The union over a set of

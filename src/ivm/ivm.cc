@@ -74,21 +74,27 @@ void HigherOrderIvm::ApplyBatch(int v, size_t first, size_t count,
   }
 }
 
-HigherOrderIvm::RangeDelta HigherOrderIvm::ComputeRangeDelta(
-    const NodeRowRange& r, std::vector<std::pair<int, uint64_t>>* observed,
+std::vector<HigherOrderIvm::RangeDelta> HigherOrderIvm::ComputeRangeDeltas(
+    const std::vector<NodeRowRange>& batches,
+    std::vector<std::pair<int, uint64_t>>* observed,
     const StagedChildKeys* staged) {
-  RELBORG_TRACE_SPAN("hoivm/delta", "ivm", -1, r.node);
-  for (int c : db_->tree().node(r.node).children) {
+  RELBORG_TRACE_SPAN("hoivm/delta", "ivm", -1, batches[0].node);
+  for (int c : db_->tree().node(batches[0].node).children) {
     observed->push_back({c, versions_[c].load(std::memory_order_acquire)});
   }
-  RangeDelta delta(maintainers_.size());
+  std::vector<RangeDelta> deltas(batches.size(),
+                                 RangeDelta(maintainers_.size()));
+  // One parallel region for the whole range: each maintainer computes
+  // every batch's delta, serially in batch order.
   ctx_.ParallelFor(maintainers_.size(), [&](size_t k) {
-    delta[k] = maintainers_[k].ComputeDelta(r.node, r.first, r.count,
-                                            /*ctx=*/nullptr,
-                                            /*visible=*/nullptr,
-                                            /*child_snaps=*/nullptr, staged);
+    auto per_batch =
+        maintainers_[k].ComputeDeltas(batches, /*ctx=*/nullptr,
+                                      /*child_snaps=*/nullptr, staged);
+    for (size_t b = 0; b < batches.size(); ++b) {
+      deltas[b][k] = std::move(per_batch[b]);
+    }
   });
-  return delta;
+  return deltas;
 }
 
 bool HigherOrderIvm::RangeDeltaValid(
@@ -257,9 +263,9 @@ void FirstOrderIvm::ApplyBatch(int v, size_t first, size_t count,
   // Bring the (base-relation) indexes up to date — a DBMS maintains these
   // incrementally; what first-order IVM lacks is intermediate VIEWS. Under
   // a watermark, only the visible prefix is indexed: the stream scheduler
-  // may have committed rows of FUTURE epochs already, and indexing them
+  // may have committed rows of LATER batches already, and indexing them
   // here would leak them into this batch's delta join. The clamp keeps
-  // indexed_rows_ monotone because epoch watermarks only ever grow.
+  // indexed_rows_ monotone because batch watermarks only ever grow.
   for (int u = 0; u < tree.num_nodes(); ++u) {
     if (u == tree.root()) continue;
     const Relation& rel = db_->relation(u);

@@ -208,7 +208,7 @@ class CovarFivm {
   // scheduler may overlap commits of nodes outside that closure.
   static constexpr bool kMaintainReadsAncestorClosure = true;
 
-  // `visible` is the per-node row watermark of the caller's epoch (see
+  // `visible` is the per-node row watermark of the caller's batch (see
   // ViewTreeMaintainer::ApplyBatch); nullptr reads everything committed.
   // `gate`, when non-null, write-locks each view around the fold into it.
   void ApplyBatch(int v, size_t first, size_t count,
@@ -221,30 +221,35 @@ class CovarFivm {
 
   // --- Speculative per-range compute (stream_scheduler's compute stage) --
   //
-  // ComputeRangeDelta evaluates a range's delta against the CURRENT child
-  // views, bounded by snapshots taken at entry, and records each child's
-  // (node, version) in *observed. The caller holds the children's view
-  // gates, so no fold intervenes mid-scan; RangeDeltaValid later re-reads
-  // the versions at the serial application point — equality means the
-  // child views never changed in between, so the precomputed delta is
-  // BIT-IDENTICAL to what a fresh serial ComputeDelta would produce (the
-  // partitioned fold order is deterministic). ApplyRangeDelta then
-  // propagates it exactly like ApplyBatch's second half.
+  // ComputeRangeDeltas evaluates one delta per batch of a range — batches
+  // of ONE node, given in stream order — against the CURRENT child views,
+  // bounded by snapshots taken at entry, and records each child's
+  // (node, version) in *observed. All of them are computed in one parallel
+  // region: a range's batches never write the node's children, so the
+  // child views every batch reads are the same. The caller holds the
+  // children's view gates, so no fold intervenes mid-scan; RangeDeltaValid
+  // later re-reads the versions at the range's serial application point —
+  // equality means the child views never changed in between, so each
+  // precomputed delta is BIT-IDENTICAL to what a fresh serial ComputeDelta
+  // of its batch would produce (the partitioned fold order is
+  // deterministic). ApplyRangeDelta then propagates one batch's delta
+  // exactly like ApplyBatch's second half.
   using RangeDelta = CovarArenaView;
 
-  RangeDelta ComputeRangeDelta(const NodeRowRange& r,
-                               std::vector<std::pair<int, uint64_t>>* observed,
-                               const StagedChildKeys* staged = nullptr) {
-    RELBORG_TRACE_SPAN("fivm/delta", "ivm", -1, r.node);
-    const std::vector<int>& children = db_->tree().node(r.node).children;
+  std::vector<RangeDelta> ComputeRangeDeltas(
+      const std::vector<NodeRowRange>& batches,
+      std::vector<std::pair<int, uint64_t>>* observed,
+      const StagedChildKeys* staged = nullptr) {
+    RELBORG_TRACE_SPAN("fivm/delta", "ivm", -1, batches[0].node);
+    const std::vector<int>& children =
+        db_->tree().node(batches[0].node).children;
     std::vector<CovarViewSnapshot> snaps(db_->tree().num_nodes());
     for (int c : children) {
       snaps[c] = maintainer_.SnapshotView(c);
       observed->push_back({c, snaps[c].version});
     }
-    return maintainer_.ComputeDelta(r.node, r.first, r.count,
-                                    ctx_.enabled() ? &ctx_ : nullptr,
-                                    /*visible=*/nullptr, snaps.data(), staged);
+    return maintainer_.ComputeDeltas(batches, ctx_.enabled() ? &ctx_ : nullptr,
+                                     snaps.data(), staged);
   }
 
   bool RangeDeltaValid(
@@ -259,34 +264,6 @@ class CovarFivm {
                        const size_t* visible, ViewWriteGate* gate) {
     RELBORG_TRACE_SPAN("fivm/propagate", "ivm", -1, r.node);
     maintainer_.ApplyDelta(r.node, std::move(delta), visible, gate);
-  }
-
-  // Applies a group of ranges at the SAME view-tree depth (the stream
-  // scheduler's epoch groups). Same-depth nodes are never in an
-  // ancestor/descendant relation, so no range's delta scan reads a view
-  // another range's application writes: all delta scans run concurrently
-  // (each itself partition-parallel via the nested ParallelFor), then the
-  // propagations run serially in range order. Bit-identical to calling
-  // ApplyBatch per range in the same order, for any thread count.
-  void ApplyGroup(const NodeRowRange* ranges, size_t n,
-                  const size_t* visible = nullptr,
-                  ViewWriteGate* gate = nullptr) {
-    if (n == 1) {
-      ApplyBatch(ranges[0].node, ranges[0].first, ranges[0].count, visible,
-                 gate);
-      return;
-    }
-    RELBORG_TRACE_SPAN("fivm/group", "ivm", -1, ranges[0].node);
-    const ExecContext* ctx = ctx_.enabled() ? &ctx_ : nullptr;
-    std::vector<CovarArenaView> deltas(n);
-    ctx_.ParallelFor(n, [&](size_t i) {
-      deltas[i] = maintainer_.ComputeDelta(ranges[i].node, ranges[i].first,
-                                           ranges[i].count, ctx, visible);
-    });
-    for (size_t i = 0; i < n; ++i) {
-      maintainer_.ApplyDelta(ranges[i].node, std::move(deltas[i]), visible,
-                             gate);
-    }
   }
 
   CovarMatrix Current() const {
@@ -370,9 +347,8 @@ class CovarFivm {
   //
   // View state is serialized BYTE-EXACT: every key's payload span as IEEE
   // bits plus the view's publication counter. Restore never recomputes a
-  // fold (the coalesced epoch folds that built these payloads are a
-  // different summation order than any replay could reproduce), so a
-  // restored strategy is bit-identical to the one that was saved.
+  // fold (that would replay the whole stream prefix), so a restored
+  // strategy is bit-identical to the one that was saved.
   static constexpr uint32_t kCheckpointTag = 0x46495631;  // "FIV1"
 
   void SaveCheckpoint(ByteSink* sink) const {
@@ -444,9 +420,10 @@ class HigherOrderIvm {
   // concurrent maintainers would serialize on the gate mutex.
   using RangeDelta = std::vector<FlatHashMap<double>>;  // per maintainer
 
-  RangeDelta ComputeRangeDelta(const NodeRowRange& r,
-                               std::vector<std::pair<int, uint64_t>>* observed,
-                               const StagedChildKeys* staged = nullptr);
+  std::vector<RangeDelta> ComputeRangeDeltas(
+      const std::vector<NodeRowRange>& batches,
+      std::vector<std::pair<int, uint64_t>>* observed,
+      const StagedChildKeys* staged = nullptr);
   bool RangeDeltaValid(
       const std::vector<std::pair<int, uint64_t>>& observed) const;
   void ApplyRangeDelta(const NodeRowRange& r, RangeDelta delta,

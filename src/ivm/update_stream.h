@@ -53,12 +53,12 @@ struct MixedStreamOptions {
   // of the picked relation — entire prior insert batches retracted at
   // once, and the relation's live multiset left momentarily empty. This is
   // the empty-relation / empty-epoch edge case the stream scheduler must
-  // coalesce and apply correctly (the retraction can exceed
+  // stage and apply correctly (the retraction can exceed
   // insert.batch_size rows and can cancel an epoch's net delta to zero).
   double full_retraction_probability = 0.0;
   // After each insert batch (independently of the delete draw), an EMPTY
   // batch — zero rows, insert sign — follows with this probability. Empty
-  // batches produce zero-range epochs once the scheduler coalesces them:
+  // batches produce zero-range epochs once the scheduler groups them:
   // the epoch has batches but no rows, so its compute stage has nothing to
   // speculate and its application is a no-op that must still retire in
   // order. Default 0 keeps streams byte-identical to older builds (the

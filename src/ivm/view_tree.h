@@ -59,6 +59,7 @@
 #ifndef RELBORG_IVM_VIEW_TREE_H_
 #define RELBORG_IVM_VIEW_TREE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -70,9 +71,9 @@
 
 namespace relborg {
 
-// A contiguous run of rows appended to one node's shadow relation. The
-// stream scheduler hands groups of these (same view-tree depth, ascending
-// node id) to strategies that can maintain them concurrently.
+// A contiguous run of rows appended to one node's shadow relation (one
+// update batch: the unit the stream scheduler's speculative compute stage
+// evaluates deltas for).
 struct NodeRowRange {
   int node = -1;
   size_t first = 0;
@@ -95,7 +96,8 @@ class ViewWriteGate {
 // range: keys[ci][row - first] == tree.RowKeyToChild(node, children[ci],
 // row). The stream scheduler stages these off the maintenance thread while
 // a conflicting earlier epoch makes full speculation pointless; a
-// ComputeDelta consuming them skips the per-row key packing.
+// ComputeDelta over any row span inside the range consumes them and skips
+// the per-row key packing.
 struct StagedChildKeys {
   size_t first = 0;
   std::vector<std::vector<uint64_t>> keys;  // per child, per row
@@ -122,8 +124,8 @@ class ViewTreeMaintainer {
   //
   // `visible`, when non-null, is a per-node row watermark (indexed by node
   // id): maintenance reads at node u are bounded to rows [0, visible[u]).
-  // The stream scheduler passes each epoch's visibility horizon here so
-  // rows that a later epoch's commit already spliced (at ids >= the
+  // The stream scheduler passes each batch's visibility horizon here so
+  // rows that later batches' commits already spliced (at ids >= the
   // horizon, always) stay invisible; nullptr reads everything committed —
   // the classic serial behavior. Results are bit-identical either way
   // whenever the rows above the horizon do not yet exist, which is exactly
@@ -140,7 +142,7 @@ class ViewTreeMaintainer {
   // const state (ShadowDb, child views), so deltas of nodes at the same
   // tree depth may be computed concurrently — no node reads a view another
   // same-depth node writes. The scan touches only the range's own rows,
-  // which must sit at or below the epoch's watermark.
+  // which must sit at or below the batch's watermark.
   //
   // `child_snaps`, when non-null, is a per-NODE array of view snapshots:
   // every child-view probe goes through Ops::FindAt bounded by the child's
@@ -149,9 +151,9 @@ class ViewTreeMaintainer {
   // stream scheduler's speculative compute stage passes the snapshots it
   // validates against; whenever validation succeeds the children never
   // changed, so the bounded and unbounded scans are bit-identical.
-  // `staged`, when non-null, supplies precomputed child join keys for the
-  // full [first, first + count) range (identical to what the scan would
-  // pack itself).
+  // `staged`, when non-null, supplies precomputed child join keys covering
+  // [first, first + count) (identical to what the scan would pack
+  // itself).
   View ComputeDelta(int v, size_t first, size_t count,
                     const ExecContext* ctx = nullptr,
                     const size_t* visible = nullptr,
@@ -159,24 +161,68 @@ class ViewTreeMaintainer {
                     const StagedChildKeys* staged = nullptr) {
     RELBORG_DCHECK(visible == nullptr || first + count <= visible[v]);
     (void)visible;  // only asserted: the scan stays inside its own range
-    RELBORG_DCHECK(staged == nullptr || staged->first == first);
-    View delta = ops_.MakeView();
-    if (ctx == nullptr || ctx->NumPartitions(count) <= 1) {
-      ScanDelta(v, first, count, &delta, child_snaps, staged, first);
-    } else {
-      const size_t parts = ctx->NumPartitions(count);
-      std::vector<View> partials;
-      partials.reserve(parts);
-      for (size_t p = 0; p < parts; ++p) partials.push_back(ops_.MakeView());
-      ctx->ParallelFor(parts, [&](size_t p) {
-        const std::pair<size_t, size_t> b =
-            ExecContext::PartitionBounds(count, parts, p);
-        ScanDelta(v, first + b.first, b.second - b.first, &partials[p],
-                  child_snaps, staged, first);
-      });
-      for (size_t p = 0; p < parts; ++p) ops_.Merge(&delta, partials[p]);
+    return std::move(
+        ComputeDeltas({{v, first, count}}, ctx, child_snaps, staged)[0]);
+  }
+
+  // ComputeDelta for several row spans of ONE node against the same child
+  // views: delta s is bit-identical to ComputeDelta over spans[s] (same
+  // partitions, same merge order), but every span's partitions are scanned
+  // in one parallel region and the partial merges run in a second. The
+  // stream scheduler passes a range's batches here: they write their node
+  // and its ancestors, never the node's children, so computing all of them
+  // before folding any is exactly what computing each at its own turn
+  // would give.
+  std::vector<View> ComputeDeltas(
+      const std::vector<NodeRowRange>& spans, const ExecContext* ctx = nullptr,
+      const typename Ops::Snapshot* child_snaps = nullptr,
+      const StagedChildKeys* staged = nullptr) {
+    struct Task {
+      size_t span, part, parts;
+    };
+    std::vector<View> deltas;
+    std::vector<std::vector<View>> partials(spans.size());
+    std::vector<Task> tasks;
+    deltas.reserve(spans.size());
+    for (size_t s = 0; s < spans.size(); ++s) {
+      RELBORG_DCHECK(spans[s].node == spans[0].node);
+      RELBORG_DCHECK(staged == nullptr ||
+                     (staged->first <= spans[s].first &&
+                      (staged->keys.empty() ||
+                       spans[s].first + spans[s].count <=
+                           staged->first + staged->keys[0].size())));
+      deltas.push_back(ops_.MakeView());
+      // A one-partition span scans straight into its delta.
+      const size_t parts =
+          ctx == nullptr ? 1 : std::max<size_t>(1, ctx->NumPartitions(spans[s].count));
+      if (parts > 1) {
+        for (size_t p = 0; p < parts; ++p) partials[s].push_back(ops_.MakeView());
+      }
+      for (size_t p = 0; p < parts; ++p) tasks.push_back({s, p, parts});
     }
-    return delta;
+    auto run = [&](size_t i) {
+      const Task& t = tasks[i];
+      const NodeRowRange& r = spans[t.span];
+      if (t.parts == 1) {
+        ScanDelta(r.node, r.first, r.count, &deltas[t.span], child_snaps,
+                  staged);
+        return;
+      }
+      const std::pair<size_t, size_t> b =
+          ExecContext::PartitionBounds(r.count, t.parts, t.part);
+      ScanDelta(r.node, r.first + b.first, b.second - b.first,
+                &partials[t.span][t.part], child_snaps, staged);
+    };
+    auto merge = [&](size_t s) {
+      for (const View& partial : partials[s]) ops_.Merge(&deltas[s], partial);
+    };
+    if (ctx == nullptr) {
+      for (size_t i = 0; i < tasks.size(); ++i) run(i);
+    } else {
+      ctx->ParallelFor(tasks.size(), run);
+      ctx->ParallelFor(spans.size(), merge);
+    }
+    return deltas;
   }
 
   // Second half: folds the delta into v's view and propagates it up the
@@ -213,12 +259,10 @@ class ViewTreeMaintainer {
 
  private:
   // Computes the delta at v for rows [first, first + count) into *delta,
-  // serially in row order. `range_first` is the first row of the FULL range
-  // (== `first` except for the inner partitions of a parallel scan) — the
-  // base that `staged` keys are indexed from.
+  // serially in row order.
   void ScanDelta(int v, size_t first, size_t count, View* delta,
                  const typename Ops::Snapshot* child_snaps,
-                 const StagedChildKeys* staged, size_t range_first) {
+                 const StagedChildKeys* staged) {
     const RootedTree& tree = db_->tree();
     const Relation& rel = db_->relation(v);
     const std::vector<int>& children = tree.node(v).children;
@@ -228,7 +272,7 @@ class ViewTreeMaintainer {
       bool dangling = false;
       for (size_t ci = 0; ci < children.size(); ++ci) {
         const uint64_t key =
-            staged != nullptr ? staged->keys[ci][row - range_first]
+            staged != nullptr ? staged->keys[ci][row - staged->first]
                               : tree.RowKeyToChild(v, children[ci], row);
         const View& child = views_[children[ci]];
         spans[ci] = child_snaps != nullptr

@@ -40,16 +40,22 @@ double Histogram::Quantile(double q) const {
   // leaving every populated-bucket quantile unchanged.
   const uint64_t target = std::max<uint64_t>(
       1, static_cast<uint64_t>(std::ceil(q * static_cast<double>(total))));
+  // A bucket's upper bound can exceed every observation in it (and the +Inf
+  // bucket has no finite bound at all), so the answer is clamped to the
+  // observed range. Only NaN observations leave no range to clamp to.
+  const double lo = Min();
+  const double hi = Max();
+  auto clamp = [&](double bound) {
+    if (!(lo <= hi)) return std::isinf(bound) ? BucketBound(kFiniteBuckets - 1)
+                                              : bound;
+    return std::min(std::max(bound, lo), hi);
+  };
   uint64_t cum = 0;
   for (int i = 0; i < kBuckets; ++i) {
     cum += BucketCount(i);
-    if (cum >= target) {
-      const double bound = BucketBound(i);
-      // Clamp the +Inf bucket to the largest finite bound for reporting.
-      return std::isinf(bound) ? BucketBound(kFiniteBuckets - 1) : bound;
-    }
+    if (cum >= target) return clamp(BucketBound(i));
   }
-  return BucketBound(kFiniteBuckets - 1);
+  return clamp(hi);
 }
 
 void Histogram::MergeFrom(const Histogram& other) {
@@ -58,6 +64,8 @@ void Histogram::MergeFrom(const Histogram& other) {
     if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
   }
   sum_.Add(other.Sum());
+  min_.Min(other.Min());
+  max_.Max(other.Max());
   count_.fetch_add(other.Count(), std::memory_order_relaxed);
 }
 

@@ -14,6 +14,7 @@
 #define RELBORG_OBS_METRICS_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,6 +29,7 @@ namespace obs {
 class AtomicDouble {
  public:
   AtomicDouble() : bits_(0) {}
+  explicit AtomicDouble(double v) : bits_(ToBits(v)) {}
 
   double Load() const {
     return FromBits(bits_.load(std::memory_order_relaxed));
@@ -49,6 +51,15 @@ class AtomicDouble {
   void Max(double v) {
     uint64_t old = bits_.load(std::memory_order_relaxed);
     while (FromBits(old) < v) {
+      if (bits_.compare_exchange_weak(old, ToBits(v),
+                                      std::memory_order_relaxed))
+        return;
+    }
+  }
+
+  void Min(double v) {
+    uint64_t old = bits_.load(std::memory_order_relaxed);
+    while (FromBits(old) > v) {
       if (bits_.compare_exchange_weak(old, ToBits(v),
                                       std::memory_order_relaxed))
         return;
@@ -98,6 +109,8 @@ class Gauge {
 // (seconds for latencies); the final bucket is +Inf. With kMinExp = -20 the
 // smallest bound is ~0.95us and with 30 finite buckets the largest finite
 // bound is 2^9 = 512s — wide enough for everything the pipeline observes.
+// The exact minimum and maximum observation are tracked alongside, so
+// quantiles never leave the observed range.
 class Histogram {
  public:
   static constexpr int kMinExp = -20;
@@ -107,6 +120,8 @@ class Histogram {
   void Observe(double v) {
     buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.Add(v);
+    min_.Min(v);
+    max_.Max(v);
     count_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -115,19 +130,25 @@ class Histogram {
   uint64_t BucketCount(int i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
+  // Smallest / largest observation; +Inf / -Inf while empty.
+  double Min() const { return min_.Load(); }
+  double Max() const { return max_.Load(); }
 
   // Upper bound of bucket i; +Inf for the last bucket.
   static double BucketBound(int i);
 
   // Approximate quantile (q in [0,1]) assuming observations sit at their
-  // bucket's upper bound. Returns 0 when the histogram is empty; otherwise
-  // the walk stops at the lowest POPULATED bucket (q = 0 reports the
-  // minimum observation's bucket bound, never an empty leading bucket's).
+  // bucket's upper bound, clamped to [Min(), Max()]: a bucket bound above
+  // the largest observation reports the maximum. Returns 0 when the
+  // histogram is empty; otherwise the walk stops at the lowest POPULATED
+  // bucket (q = 0 reports the minimum observation's bucket, never an empty
+  // leading bucket's).
   double Quantile(double q) const;
 
-  // Folds another histogram's buckets, sum and count into this one
-  // (bucket-wise addition — exact, since bucket counts are integers).
-  // Snapshot-in-time with respect to concurrent Observe calls on `other`.
+  // Folds another histogram's buckets, sum, count, minimum and maximum
+  // into this one (bucket-wise addition — exact, since bucket counts are
+  // integers; min/max merge exactly). Snapshot-in-time with respect to
+  // concurrent Observe calls on `other`.
   void MergeFrom(const Histogram& other);
 
   static int BucketIndex(double v);
@@ -135,6 +156,8 @@ class Histogram {
  private:
   std::atomic<uint64_t> buckets_[kBuckets] = {};
   AtomicDouble sum_;
+  AtomicDouble min_{INFINITY};
+  AtomicDouble max_{-INFINITY};
   std::atomic<uint64_t> count_{0};
 };
 

@@ -12,11 +12,11 @@
 //     order either way);
 //   * the strategy's view state, serialized BYTE-EXACT by the strategy
 //     itself (SaveCheckpoint/LoadCheckpoint) — view payloads are IEEE-754
-//     images, never recomputed at load time, because the coalesced folds
-//     that produced them are a different summation order than any replay;
+//     images, never recomputed at load time (that would replay the whole
+//     stream prefix);
 //   * the scheduler's structural cursor (epochs/batches/rows consumed,
-//     per-node watermark) so the restored assembler seals the tail into
-//     exactly the epochs the uninterrupted run would have formed.
+//     per-node watermark) so the resumed run continues epoch numbering and
+//     the replay cursor exactly where the checkpointed run stood.
 //
 // FILE FORMAT: an 8-byte magic ("RBCKPT01", bumped on layout changes),
 // u64 payload size, u64 FNV-1a checksum of the payload, then the payload.
@@ -42,7 +42,10 @@ namespace relborg {
 struct StreamCheckpointOptions {
   // Target file. Empty disables checkpointing.
   std::string path;
-  // Write a checkpoint after every K maintained epochs (0 disables).
+  // Write a checkpoint after every K full-epoch equivalents of maintained
+  // data — epochs as StreamOptions' epoch_rows / epoch_batches bounds alone
+  // would seal them over the same batches, so early seals never make
+  // checkpoints more frequent (0 disables).
   size_t every_epochs = 0;
   // fsync the tmp file before the atomic rename. Off is faster and fine
   // for tests (rename alone orders against same-process reads); on is the

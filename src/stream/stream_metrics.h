@@ -23,11 +23,13 @@ struct StreamStats;
 namespace stream_internal {
 
 struct StreamMetrics {
-  // Deterministic structural counters.
+  // Structural counters (batches/rows deterministic; the seal-point
+  // counters epochs/ranges/idle_seals timing-dependent).
   obs::Counter* batches = nullptr;
   obs::Counter* rows = nullptr;
   obs::Counter* epochs = nullptr;
   obs::Counter* ranges = nullptr;
+  obs::Counter* idle_seals = nullptr;
   obs::Counter* speculated_ranges = nullptr;
   obs::Counter* speculation_hits = nullptr;
   obs::Counter* speculation_misses = nullptr;
@@ -69,7 +71,10 @@ struct StreamMetrics {
     m.epochs = registry->GetCounter("relborg_stream_epochs_total",
                                     "Sealed epochs applied");
     m.ranges = registry->GetCounter("relborg_stream_ranges_total",
-                                    "Coalesced per-node ranges applied");
+                                    "Same-node batch runs applied");
+    m.idle_seals = registry->GetCounter(
+        "relborg_stream_idle_seals_total",
+        "Epochs sealed before their bounds because the maintainer was idle");
     m.speculated_ranges =
         registry->GetCounter("relborg_stream_speculated_ranges_total",
                              "Ranges with a precomputed delta");

@@ -8,9 +8,7 @@ EpochAssembler::EpochAssembler(const ShadowDb* db,
                                const StreamOptions& options)
     : db_(db), options_(options) {
   const int num_nodes = db->tree().num_nodes();
-  group_of_ = ViewGroupOf(db->tree());
   next_row_.resize(num_nodes);
-  pending_of_.assign(num_nodes, -1);
   // Snapshot the current relation sizes once, before any pipeline thread
   // exists; from here on row ids are tracked locally so staging never
   // reads the (concurrently mutated) relations.
@@ -20,26 +18,37 @@ EpochAssembler::EpochAssembler(const ShadowDb* db,
 }
 
 bool EpochAssembler::Add(UpdateBatch batch, StreamEpoch* out) {
-  if (!batch.rows.empty()) {
+  const size_t batch_rows = batch.rows.size();
+  if (batch_rows > 0) {
     RELBORG_CHECK(batch.node >= 0 &&
-                  batch.node < static_cast<int>(group_of_.size()));
-    const size_t batch_rows = batch.rows.size();
-    int idx = pending_of_[batch.node];
-    if (idx < 0) {
-      idx = static_cast<int>(pending_.size());
-      pending_of_[batch.node] = idx;
-      pending_.emplace_back();
-      pending_[idx].node = batch.node;
+                  batch.node < static_cast<int>(next_row_.size()));
+    // A batch extends the open run when it targets the run's node; any
+    // other node starts a new run, so runs follow stream order.
+    if (runs_.empty() || runs_.back().node != batch.node) {
+      runs_.emplace_back();
+      runs_.back().node = batch.node;
     }
-    Pending& pending = pending_[idx];
-    for (auto& row : batch.rows) pending.rows.push_back(std::move(row));
-    pending.signs.insert(pending.signs.end(), batch_rows, batch.sign);
+    Run& run = runs_.back();
+    for (auto& row : batch.rows) run.rows.push_back(std::move(row));
+    run.signs.insert(run.signs.end(), batch_rows, batch.sign);
+    run.batch_ends.push_back(run.rows.size());
     cur_rows_ += batch_rows;
   }
-  // Empty batches contribute no range but still count toward the batch
+  // Empty batches contribute no rows but still count toward the batch
   // bound, so a stream tail of retract-everything no-ops can seal (and the
   // scheduler apply) zero-range epochs.
   cur_batches_ += 1;
+  // The same bounds, applied to the stream as if every epoch sealed at
+  // them: the checkpoint cadence counts these epochs (at their first
+  // batch), not the sealed ones.
+  if (bound_batches_ == 0) ++bound_epochs_;
+  bound_rows_ += batch_rows;
+  bound_batches_ += 1;
+  if (bound_rows_ >= options_.epoch_rows ||
+      bound_batches_ >= options_.epoch_batches) {
+    bound_rows_ = 0;
+    bound_batches_ = 0;
+  }
   if (cur_rows_ >= options_.epoch_rows ||
       cur_batches_ >= options_.epoch_batches) {
     Seal(out);
@@ -49,7 +58,7 @@ bool EpochAssembler::Add(UpdateBatch batch, StreamEpoch* out) {
 }
 
 bool EpochAssembler::Flush(StreamEpoch* out) {
-  if (pending_.empty() && cur_batches_ == 0) return false;
+  if (cur_batches_ == 0) return false;
   Seal(out);
   return true;
 }
@@ -59,38 +68,29 @@ void EpochAssembler::Seal(StreamEpoch* out) {
   out->id = next_epoch_id_++;
   out->rows = cur_rows_;
   out->batches = cur_batches_;
-  out->reads.assign(group_of_.size(), 0);
-  // Canonical order: deepest view group first, ascending node id within a
-  // group — one range per node, so the sort key is unique.
-  std::sort(pending_.begin(), pending_.end(),
-            [&](const Pending& a, const Pending& b) {
-              if (group_of_[a.node] != group_of_[b.node]) {
-                return group_of_[a.node] < group_of_[b.node];
-              }
-              return a.node < b.node;
-            });
-  out->ranges.reserve(pending_.size());
-  for (Pending& pending : pending_) {
+  out->bound_epochs = bound_epochs_;
+  out->reads.assign(next_row_.size(), 0);
+  out->ranges.reserve(runs_.size());
+  for (Run& run : runs_) {
     StreamRange range;
-    range.group = group_of_[pending.node];
-    range.chunk =
-        db_->StageRows(pending.node, std::move(pending.rows),
-                       std::move(pending.signs), next_row_[pending.node]);
-    next_row_[pending.node] += range.chunk.num_rows();
+    range.batch_ends = std::move(run.batch_ends);
+    range.chunk = db_->StageRows(run.node, std::move(run.rows),
+                                 std::move(run.signs), next_row_[run.node]);
+    next_row_[run.node] += range.chunk.num_rows();
     // The range's visibility horizon: per-node staged totals so far —
     // bit-for-bit the committed watermarks of the serial replay right
-    // after this range's commit (epochs stage, commit and maintain
+    // after this range's last batch (epochs stage, commit and maintain
     // strictly in order, and next_row_ never includes later epochs here).
     range.visible.assign(next_row_.begin(), next_row_.end());
     // Maintenance of this range reads its node and (through upward
     // propagation) the node's ancestors.
-    MarkAncestorClosure(db_->tree(), pending.node, &out->reads);
-    pending_of_[pending.node] = -1;
+    MarkAncestorClosure(db_->tree(), run.node, &out->reads);
     out->ranges.push_back(std::move(range));
   }
-  pending_.clear();
+  runs_.clear();
   cur_rows_ = 0;
   cur_batches_ = 0;
+  bound_epochs_ = 0;
   out->sealed_at = std::chrono::steady_clock::now();
 }
 

@@ -1,6 +1,6 @@
 // Asynchronous, pipelined maintenance of IVM update streams with
-// epoch-coalesced deltas, watermark-overlapped commits and snapshot-
-// validated multi-epoch delta computation.
+// epoch-batched ingestion and visibility, watermark-overlapped commits and
+// snapshot-validated multi-epoch delta computation.
 //
 // The classic IVM driver loop interleaves three jobs on one thread:
 // ingestion (appending rows and maintaining the ShadowDb's join indexes),
@@ -16,20 +16,27 @@
 //   * The INGRESS QUEUE is bounded by rows; Push blocks while it is full,
 //     so a fast producer is throttled to the maintenance rate instead of
 //     buffering the whole stream.
-//   * The ASSEMBLER coalesces batches into EPOCHS: all of an epoch's
-//     batches for one node merge into a single contiguous row range (the
-//     shadow relations are per-node, so interleaved arrivals still land
-//     contiguously), carrying per-row multiplicity signs so insert and
-//     delete batches coalesce into the same range. It also STAGES the
-//     ingestion work off the maintenance thread (ShadowDb::StageRows) and
+//   * The ASSEMBLER groups batches into EPOCHS, the unit of visibility.
+//     Within an epoch, each maximal run of consecutive same-node batches
+//     (in stream order) becomes one contiguous row range, carrying per-row
+//     multiplicity signs so insert and delete batches share a range, and
+//     recording its batch boundaries. It also STAGES the ingestion work off
+//     the maintenance thread (ShadowDb::StageRows, one chunk per range) and
 //     attaches each range's VISIBILITY HORIZON — the per-node row
-//     watermark of the serial replay at that range's commit point — plus
+//     watermark of the serial replay after the range's last batch — plus
 //     the epoch's maintenance READ SET (range nodes and their ancestors).
 //     An epoch seals once it holds epoch_rows rows or epoch_batches
-//     batches — a pure function of the batch sequence, never of timing.
-//     Batches with zero rows count toward the batch bound (an epoch whose
-//     batches were all empty seals with zero ranges and applies as a
-//     structural no-op).
+//     batches (upper bounds), or EARLY when the ingress queue is empty
+//     and every sealed epoch has been maintained — nothing waits behind
+//     it, so holding it back would only delay its visibility. The
+//     assembler checks this right after each batch and again whenever the
+//     applier finishes the last sealed epoch (it wakes the assembler), so
+//     a batch that arrived while the maintainer was busy seals on catch-up
+//     without waiting for another Push. Under a closed loop the maintainer never idles and
+//     epochs fill to their bounds; under an open loop each batch becomes
+//     readable as soon as it is maintained. Batches with zero rows count
+//     toward the batch bound (an epoch whose batches were all empty seals
+//     with zero ranges and applies as a structural no-op).
 //   * The COMMITTER splices sealed epochs' chunks into the ShadowDb
 //     (ShadowDb::CommitChunk: column splices, one index probe per distinct
 //     key, then the atomic watermark flip) strictly in epoch order — and
@@ -49,16 +56,18 @@
 //     (or several earlier epochs) is still propagating — the speculative
 //     half of the applier's work, pulled off the serial path. For each
 //     range of a committed epoch it either:
-//       - SPECULATES: computes the range's delta against the CURRENT child
-//         views, bounded by per-view version snapshots taken at entry, and
-//         records the observed (node, version) pairs. The applier
-//         revalidates the versions at the range's serial point; equality
-//         means the child views never changed in between, so the
-//         precomputed delta is bit-identical to a fresh serial compute
-//         (deterministic partitioned folds) and propagation proceeds from
-//         it directly — a SPECULATION HIT. On a mismatch the applier
-//         recomputes serially (a MISS; correctness never depends on the
-//         speculation, only latency does).
+//       - SPECULATES: computes one delta per batch of the range against
+//         the CURRENT child views, bounded by per-view version snapshots
+//         taken at entry, and records the observed (node, version) pairs.
+//         The applier revalidates the versions at each batch's serial
+//         point; equality means the child views never changed in between,
+//         so the precomputed delta is bit-identical to a fresh serial
+//         compute (deterministic partitioned folds) and propagation
+//         proceeds from it directly — a SPECULATION HIT. On a mismatch the
+//         applier recomputes serially (a MISS; correctness never depends
+//         on the speculation, only latency does). A range's own batches
+//         never invalidate each other: their folds write the range's node
+//         and its ancestors, never its children.
 //       - STAGES PROBES: when the range's probe set (its node's children)
 //         intersects the write closure of an epoch still in flight — an
 //         earlier epoch handed downstream but not yet maintained, or an
@@ -87,39 +96,28 @@
 //     intersects every probe set) are forwarded untouched as well and keep
 //     the serial schedule; stats report speculated_ranges == 0 for them.
 //   * The APPLIER maintains computed epochs strictly in order. Within an
-//     epoch, ranges run in canonical order — deepest view group first
-//     (IndependentViewGroups), ascending node id within a group. Because
-//     same-group nodes are never ancestor/descendant, strategies exposing
-//     ApplyGroup (CovarFivm) compute the group's deltas concurrently over
-//     the ExecContext and only serialize the propagations; strategies
-//     without it (HigherOrderIvm, FirstOrderIvm) get per-range maintenance
-//     under per-range watermarks, each free to parallelize internally.
-//     Speculated group ranges are validated (and misses recomputed) for
-//     the WHOLE group before any of the group propagates, matching
-//     ApplyGroup's compute-all-then-apply-all shape exactly.
+//     epoch, ranges run in stream order, and within a range every batch is
+//     its own delta, computed and folded under a PER-BATCH horizon (the
+//     range's horizon with its node's watermark cut back to the batch's
+//     end) — exactly the reads and folds of the per-batch loop.
 //
-// DETERMINISM: epoch composition, application order and per-range
-// watermarks are pure functions of (stream, options); every delta is
-// folded with the thread-count-independent partitioning of
-// core/exec_policy.h; and every maintenance read is bounded by its epoch's
-// watermark, so the scheduler's result is BIT-IDENTICAL to ReplayStream
-// (the same epochs committed and maintained serially on the caller's
-// thread) for any ExecPolicy thread count, any commit run-ahead and any
-// compute run-ahead — the queues, threads, the committer's lead and the
-// speculation hit rate change when work happens, never what is read or
-// summed in which order. With epoch_batches == 1 every batch is its own
-// epoch and both are in turn bit-identical to the classic
-// append-then-ApplyBatch loop over the original stream. Epoch coalescing
-// folds same-key rows of an epoch into one delta payload before
-// propagation; ring addition makes that exact (deletions cancel inserts
-// inside the epoch), though the coalesced fold is a different
-// floating-point summation order than per-batch replay, equal to it only
-// up to rounding.
+// DETERMINISM: every batch's delta is computed and folded in stream order
+// under the row horizon the per-batch AppendRows + ApplyBatch loop would
+// have at that batch; every delta is folded with the thread-count-
+// independent partitioning of core/exec_policy.h; and every maintenance
+// read is bounded by its batch's horizon. So the scheduler's result is
+// BIT-IDENTICAL to ReplayStream and to the per-batch loop over the
+// original stream, for any epoch bounds, any seal timing, any ExecPolicy
+// thread count, any commit run-ahead and any compute run-ahead — the
+// queues, threads, seal points, the committer's lead and the speculation
+// hit rate change when work happens, never what is read or summed in which
+// order. Epochs only decide when results become visible and how ingestion
+// is batched into chunks.
 //
-// Timing-dependent values (queue high-water marks, per-epoch latency, gate
-// waits, the committer's maximum epoch lead) are surfaced in StreamStats
-// for observability; the structural counters (epochs, ranges, rows) are
-// deterministic.
+// Timing-dependent values (epoch and range counts, idle seals, queue
+// high-water marks, per-epoch latency, gate waits, the committer's maximum
+// epoch lead) are surfaced in StreamStats for observability; batches and
+// rows are deterministic.
 //
 // While a scheduler is live, the ShadowDb and the strategy belong to the
 // pipeline: the caller must not touch either until Finish() returns. Two
@@ -170,10 +168,12 @@
 namespace relborg {
 
 struct StreamOptions {
-  // Epoch sealing bounds: an epoch seals once it holds >= epoch_rows rows
-  // or >= epoch_batches batches, whichever comes first. Pure functions of
-  // the batch sequence, so epoch composition never depends on timing.
-  // epoch_batches == 1 disables coalescing (one batch per epoch).
+  // Epoch sealing bounds: an epoch seals at the latest once it holds
+  // >= epoch_rows rows or >= epoch_batches batches, whichever comes first
+  // (batches never split); the scheduler seals earlier whenever its
+  // maintainer is idle. They bound how much ingestion is batched into one
+  // commit, never what is computed: results are the per-batch loop's for
+  // any bounds. The checkpoint cadence counts epochs of these bounds.
   size_t epoch_rows = 8192;
   size_t epoch_batches = 64;
   // Backpressure bounds: Push blocks while the ingress queue holds
@@ -220,7 +220,9 @@ struct StreamOptions {
   // only — it never unblocks or kills anything.
   double stall_timeout_seconds = 0;
   // Periodic epoch checkpointing (stream/checkpoint.h); disabled unless
-  // both path and every_epochs are set.
+  // both path and every_epochs are set. every_epochs counts full-epoch
+  // equivalents of data (epochs as the bounds alone would seal them), so
+  // early seals never make checkpoints more frequent.
   StreamCheckpointOptions checkpoint;
   // Observability (src/obs/). `metrics`: an external registry to register
   // the pipeline's instruments in (so one registry can span scheduler +
@@ -238,8 +240,11 @@ struct StreamStats {
   // Deterministic structural counters.
   size_t batches = 0;  // source batches consumed (empty batches included)
   size_t rows = 0;     // rows across those batches
-  size_t epochs = 0;   // sealed epochs applied
-  size_t ranges = 0;   // coalesced per-node ranges applied
+  // Seal-point counters: timing-dependent under the threaded scheduler
+  // (ReplayStream's bound-only epochs <= epochs <= batches).
+  size_t epochs = 0;      // sealed epochs applied
+  size_t ranges = 0;      // same-node batch runs applied
+  size_t idle_seals = 0;  // epochs sealed early because nothing waited
   // Speculative compute counters. speculated/probe-staged are decided on
   // the compute thread; hits/misses are decided on the applier thread at
   // each range's serial point (hits + misses == speculated_ranges after
@@ -291,6 +296,7 @@ inline StreamStats StreamMetrics::Derive() const {
   s.rows = static_cast<size_t>(rows->Value());
   s.epochs = static_cast<size_t>(epochs->Value());
   s.ranges = static_cast<size_t>(ranges->Value());
+  s.idle_seals = static_cast<size_t>(idle_seals->Value());
   s.speculated_ranges = static_cast<size_t>(speculated_ranges->Value());
   s.speculation_hits = static_cast<size_t>(speculation_hits->Value());
   s.speculation_misses = static_cast<size_t>(speculation_misses->Value());
@@ -328,21 +334,49 @@ inline StreamStats StreamMetrics::Derive() const {
 
 }  // namespace stream_internal
 
-// One coalesced node-range of an epoch: the staged ingestion chunk, the
-// node's view-group index (0 = deepest group; the root group is last), and
-// the visibility horizon of the serial replay right after this range's
-// commit — maintenance of the range bounds every per-node read by it.
+// One range of an epoch: a maximal run of consecutive same-node batches,
+// staged as one ingestion chunk, with the batch boundaries inside it and
+// the visibility horizon of the serial replay right after its last batch.
+// Maintenance applies batch k under the same horizon with the node's entry
+// cut back to the batch's end (BatchHorizon).
 struct StreamRange {
-  int group = 0;
   IngestChunk chunk;
-  std::vector<size_t> visible;  // per node: rows visible after this commit
+  std::vector<size_t> batch_ends;  // cumulative rows per batch in the chunk
+  std::vector<size_t> visible;     // per node: rows visible after the range
+
+  size_t num_batches() const { return batch_ends.size(); }
+  size_t batch_first(size_t k) const {
+    return chunk.first + (k == 0 ? 0 : batch_ends[k - 1]);
+  }
+  size_t batch_rows(size_t k) const {
+    return batch_ends[k] - (k == 0 ? 0 : batch_ends[k - 1]);
+  }
+  // The batches' row spans, in stream order.
+  std::vector<NodeRowRange> Batches() const {
+    std::vector<NodeRowRange> out(num_batches());
+    for (size_t k = 0; k < out.size(); ++k) {
+      out[k] = {chunk.node, batch_first(k), batch_rows(k)};
+    }
+    return out;
+  }
+  // Writes batch k's horizon into *horizon (sized like `visible`).
+  void BatchHorizon(size_t k, std::vector<size_t>* horizon) const {
+    *horizon = visible;
+    (*horizon)[chunk.node] = chunk.first + batch_ends[k];
+  }
 };
 
 struct StreamEpoch {
   uint64_t id = 0;
   size_t rows = 0;
   size_t batches = 0;
-  // Canonical application order: ascending (group, node).
+  // Epochs the bounds alone would have started within this epoch's
+  // batches: the checkpoint cadence's unit, equal to 1 per epoch whenever
+  // epochs seal at their bounds. Counted at their first batch, so the
+  // stream's partial tail counts even when an early seal already took all
+  // of its batches.
+  size_t bound_epochs = 0;
+  // Application order: stream order.
   std::vector<StreamRange> ranges;
   // Maintenance read set (per node): range nodes and their ancestors. The
   // CommitGate keeps the committer out of these nodes while the epoch is
@@ -351,22 +385,29 @@ struct StreamEpoch {
   std::chrono::steady_clock::time_point sealed_at;
 };
 
-// Coalesces a batch sequence into epochs and stages their ingestion.
-// Single-threaded (the scheduler drives it from the assembler thread;
-// ReplayStream from the caller's); reads only the ShadowDb's immutable
-// topology after construction.
+// Groups a batch sequence into epochs of same-node runs and stages their
+// ingestion. Single-threaded (the scheduler drives it from the assembler
+// thread; ReplayStream from the caller's); reads only the ShadowDb's
+// immutable topology after construction.
 class EpochAssembler {
  public:
   EpochAssembler(const ShadowDb* db, const StreamOptions& options);
 
-  // Feeds one batch. Returns true when this batch sealed an epoch into
-  // *out (the batch itself is part of that epoch; batches never split).
-  // Zero-row batches carry no ranges but count toward the batch bound.
+  // Feeds one batch. Returns true when this batch reached a bound and
+  // sealed the epoch into *out (the batch itself is part of that epoch;
+  // batches never split). Zero-row batches carry no rows but count toward
+  // the batch bound.
   bool Add(UpdateBatch batch, StreamEpoch* out);
 
-  // Seals the in-progress partial epoch into *out; false if no batch is
-  // pending (an all-empty-batch tail still seals a zero-range epoch).
+  // Seals the open epoch into *out before its bounds are reached (an early
+  // seal, or the end of the stream); false if no batch is pending (an
+  // all-empty-batch epoch still seals, with zero ranges).
   bool Flush(StreamEpoch* out);
+
+  // Epochs sealed so far (checkpoint resume included).
+  uint64_t sealed_epochs() const { return next_epoch_id_; }
+  // True while a batch waits in the open epoch.
+  bool has_open() const { return cur_batches_ > 0; }
 
   // Checkpoint resume: continues epoch numbering from a checkpoint
   // boundary. The row cursors need no adjustment — the constructor
@@ -375,38 +416,30 @@ class EpochAssembler {
   void ResumeAt(uint64_t next_epoch_id) { next_epoch_id_ = next_epoch_id; }
 
  private:
-  struct Pending {
+  struct Run {
     int node = -1;
     std::vector<std::vector<double>> rows;
     std::vector<double> signs;
+    std::vector<size_t> batch_ends;
   };
 
   void Seal(StreamEpoch* out);
 
   const ShadowDb* db_;
   StreamOptions options_;
-  std::vector<int> group_of_;     // node -> view-group index, deepest = 0
   std::vector<size_t> next_row_;  // node -> next absolute row id
-  std::vector<int> pending_of_;   // node -> index into pending_, or -1
-  std::vector<Pending> pending_;
+  std::vector<Run> runs_;         // the open epoch's runs, in stream order
   size_t cur_rows_ = 0;
   size_t cur_batches_ = 0;
+  // The bound-only schedule over the same batches: its open epoch's size
+  // and the epochs it started since the last Seal.
+  size_t bound_rows_ = 0;
+  size_t bound_batches_ = 0;
+  size_t bound_epochs_ = 0;
   uint64_t next_epoch_id_ = 0;
 };
 
 namespace stream_internal {
-
-// Detects `void Strategy::ApplyGroup(const NodeRowRange*, size_t,
-// const size_t*)` — the hook for concurrent maintenance of same-depth
-// ranges under one visibility horizon.
-template <typename Strategy, typename = void>
-struct HasApplyGroup : std::false_type {};
-template <typename Strategy>
-struct HasApplyGroup<
-    Strategy,
-    std::void_t<decltype(std::declval<Strategy&>().ApplyGroup(
-        std::declval<const NodeRowRange*>(), size_t{0},
-        std::declval<const size_t*>()))>> : std::true_type {};
 
 // Detects `Strategy::kMaintainReadsAncestorClosure == true`: maintenance
 // of a range reads only the range's node and its ancestors, so the gate
@@ -429,7 +462,7 @@ struct HasCheckpoint<Strategy, std::void_t<decltype(Strategy::kCheckpointTag)>>
     : std::true_type {};
 
 // Detects the speculative per-range compute API (`Strategy::RangeDelta`
-// plus ComputeRangeDelta / RangeDeltaValid / ApplyRangeDelta): the hook
+// plus ComputeRangeDeltas / RangeDeltaValid / ApplyRangeDelta): the hook
 // that lets the compute stage evaluate a range's delta ahead of its serial
 // point. Strategies without it (FirstOrderIvm) keep the serial schedule.
 template <typename Strategy, typename = void>
@@ -455,11 +488,12 @@ struct ComputedEpoch<Strategy, true> {
     // compute stage touched; both false means the range passed through
     // (overlap off) and the applier computes it serially from scratch.
     bool speculated = false;
-    typename Strategy::RangeDelta delta{};
-    // (node, version) of every child view the delta was computed against.
+    // One precomputed delta per batch of the range, and the (node,
+    // version) of every child view they were computed against.
+    std::vector<typename Strategy::RangeDelta> deltas;
     std::vector<std::pair<int, uint64_t>> observed;
     bool probes_staged = false;
-    StagedChildKeys probes;
+    StagedChildKeys probes;  // the whole range's keys
   };
   StreamEpoch epoch;
   std::vector<Range> ranges;  // parallel to epoch.ranges (empty if untouched)
@@ -527,16 +561,35 @@ class BoundedChannel {
     return TryPushResult::kOk;
   }
 
-  // Returns false iff the channel is closed and drained.
+  enum class PopResult { kItem, kWoken, kClosed };
+
+  // Returns false iff the channel is closed and drained (wakes ignored).
   bool Pop(T* out) {
+    PopResult r;
+    while ((r = PopOrWake(out)) == PopResult::kWoken) {
+    }
+    return r == PopResult::kItem;
+  }
+
+  // Pop that also returns (kWoken, *out untouched) on an empty channel once
+  // Wake was called since the last return. A Wake never gets lost: one
+  // made while nobody waits is kept for the next call.
+  PopResult PopOrWake(T* out) {
     std::unique_lock<std::mutex> lock(mu_);
-    can_pop_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
+    can_pop_.wait(lock, [&] { return closed_ || woken_ || !items_.empty(); });
+    woken_ = false;
+    if (items_.empty()) return closed_ ? PopResult::kClosed : PopResult::kWoken;
     *out = std::move(items_.front().first);
     weight_ -= items_.front().second;
     items_.pop_front();
     can_push_.notify_one();
-    return true;
+    return PopResult::kItem;
+  }
+
+  void Wake() {
+    std::lock_guard<std::mutex> lock(mu_);
+    woken_ = true;
+    can_pop_.notify_all();
   }
 
   void Close() {
@@ -567,6 +620,7 @@ class BoundedChannel {
   size_t weight_ = 0;
   size_t high_water_ = 0;
   bool closed_ = false;
+  bool woken_ = false;
 };
 
 // Ingress-side batch validation against the catalog. Untrusted producers
@@ -880,7 +934,7 @@ class ViewGate : public ViewWriteGate {
   std::vector<uint32_t> writers_;
 };
 
-// Commits every range of an epoch in canonical order: the chunk payloads
+// Commits every range of an epoch in stream order: the chunk payloads
 // are consumed, the range headers (node/first/rows) and watermarks stay
 // for maintenance. With a gate, each splice excludes itself from nodes
 // under maintenance and adds its blocked time to *gate_wait_seconds.
@@ -899,56 +953,62 @@ inline void CommitEpoch(ShadowDb* shadow, StreamEpoch* epoch,
   }
 }
 
-// Maintains one already-committed epoch, in canonical range order, each
-// read bounded by the range's (or group's) visibility horizon. Shared by
-// the scheduler's applier thread and by ReplayStream, so both paths
-// execute the exact same sequence of floating-point operations — the
-// horizons only ever exclude rows that do not exist yet in the serial
-// replay.
+// Propagates a range's per-batch deltas in stream order, each under its
+// batch's horizon.
+template <typename Strategy>
+void ApplyRangeDeltas(Strategy* strategy, const StreamRange& range,
+                      const std::vector<NodeRowRange>& batches,
+                      std::vector<typename Strategy::RangeDelta> deltas,
+                      ViewWriteGate* gate) {
+  std::vector<size_t> horizon;
+  for (size_t k = 0; k < batches.size(); ++k) {
+    range.BatchHorizon(k, &horizon);
+    strategy->ApplyRangeDelta(batches[k], std::move(deltas[k]),
+                              horizon.data(), gate);
+  }
+}
+
+// Maintains one already-committed epoch: ranges in stream order, one delta
+// per batch, each propagated under the batch's horizon. Shared by the
+// scheduler's applier thread and by ReplayStream, so both paths execute
+// the exact same sequence of floating-point operations as the per-batch
+// AppendRows + ApplyBatch loop — the horizons only ever exclude rows that
+// do not exist yet in that loop. (A strategy may read ANY relation while
+// applying — first-order IVM's delta join re-enumerates the whole
+// database — so no row may become VISIBLE before its own batch applies,
+// even though it may already be physically committed.) Strategies with
+// the per-range compute API compute a range's batch deltas together in
+// one parallel region (see ComputeRangeDeltas); the others apply batch by
+// batch.
 template <typename Strategy>
 void MaintainEpoch(Strategy* strategy, StreamEpoch* epoch) {
-  std::vector<StreamRange>& ranges = epoch->ranges;
-  size_t i = 0;
-  while (i < ranges.size()) {
-    size_t j = i + 1;
-    if constexpr (HasApplyGroup<Strategy>::value) {
-      // Maintain the whole same-depth group at once (group maintenance
-      // reads only child VIEWS plus the group's own rows, and propagation
-      // reads strictly shallower relations) under the group's horizon:
-      // visibility after the group's LAST commit, which is exactly the
-      // committed state at this point of the serial replay.
-      while (j < ranges.size() && ranges[j].group == ranges[i].group) ++j;
-      std::vector<NodeRowRange> group;
-      group.reserve(j - i);
-      for (size_t k = i; k < j; ++k) {
-        const IngestChunk& chunk = ranges[k].chunk;
-        group.push_back({chunk.node, chunk.first, chunk.num_rows()});
-      }
-      strategy->ApplyGroup(group.data(), group.size(),
-                           ranges[j - 1].visible.data());
+  std::vector<size_t> horizon;
+  for (const StreamRange& range : epoch->ranges) {
+    if constexpr (HasSpeculativeCompute<Strategy>::value) {
+      const std::vector<NodeRowRange> batches = range.Batches();
+      std::vector<std::pair<int, uint64_t>> observed;
+      ApplyRangeDeltas(strategy, range, batches,
+                       strategy->ComputeRangeDeltas(batches, &observed),
+                       nullptr);
     } else {
-      // Per-range horizons: a strategy without the group hook may read ANY
-      // relation while applying (first-order IVM's delta join re-
-      // enumerates the whole database), so no row may become VISIBLE
-      // before its own range applies — even though it may already be
-      // physically committed.
-      const IngestChunk& chunk = ranges[i].chunk;
-      strategy->ApplyBatch(chunk.node, chunk.first, chunk.num_rows(),
-                           ranges[i].visible.data());
+      for (size_t k = 0; k < range.num_batches(); ++k) {
+        range.BatchHorizon(k, &horizon);
+        strategy->ApplyBatch(range.chunk.node, range.batch_first(k),
+                             range.batch_rows(k), horizon.data());
+      }
     }
-    i = j;
   }
 }
 
 // The compute stage's work on one committed epoch: per range, either
-// speculate a delta (recording observed child versions) or stage child-key
-// probes when the range's probe set intersects `pending_writes` (the union
-// of the write closures of epochs handed downstream but not yet
-// maintained) or an earlier range's closure of this same epoch. Gates are
-// nullable — the threaded scheduler passes both, the single-threaded
-// stepper neither. Decision and output are deterministic given
-// (epoch, pending_writes, speculate_past_conflicts); only the HIT RATE at
-// the serial point is timing-dependent.
+// speculate its batch deltas (recording observed child versions) or
+// stage the range's child-key probes when its probe set intersects
+// `pending_writes` (the union of the write closures of epochs handed
+// downstream but not yet maintained) or an earlier range's closure of this
+// same epoch. Gates are nullable — the threaded scheduler passes both, the
+// single-threaded stepper neither. Decision and output are deterministic
+// given (epoch, pending_writes, speculate_past_conflicts); only the HIT
+// RATE at the serial point is timing-dependent.
 template <typename Strategy>
 void SpeculateEpoch(Strategy* strategy, const ShadowDb& db,
                     ComputedEpoch<Strategy, true>* ce,
@@ -964,91 +1024,72 @@ void SpeculateEpoch(Strategy* strategy, const ShadowDb& db,
   // serial point: the in-flight epochs' write closures plus, incrementally
   // below, the closures of this epoch's earlier ranges. (A write closure
   // IS the epoch's `reads` mask — propagation writes each range node and
-  // its ancestors, exactly the maintenance read set.)
+  // its ancestors, exactly the maintenance read set.) A range's own
+  // batches write its node and ancestors, never its children, so they
+  // cannot conflict with each other.
   std::vector<uint8_t> conflict(num_nodes, 0);
   if (pending_writes != nullptr) conflict = *pending_writes;
   std::vector<uint8_t> probe_set(num_nodes, 0);
   for (size_t i = 0; i < ranges.size(); ++i) {
     typename ComputedEpoch<Strategy, true>::Range& cr = ce->ranges[i];
-    const IngestChunk& chunk = ranges[i].chunk;
-    const NodeRowRange r{chunk.node, chunk.first, chunk.num_rows()};
+    const StreamRange& range = ranges[i];
+    const int node = range.chunk.node;
     std::fill(probe_set.begin(), probe_set.end(), 0);
-    MarkChildren(tree, r.node, &probe_set);
+    MarkChildren(tree, node, &probe_set);
     double waited = 0;
+    if (commit_gate != nullptr) waited = commit_gate->BeginMaintainNode(node);
     if (MasksIntersect(probe_set, conflict) && !speculate_past_conflicts) {
-      // Validation would miss with certainty — don't burn the compute on a
-      // delta that gets thrown away; pack the scan's hash keys instead.
-      if (commit_gate != nullptr) waited = commit_gate->BeginMaintainNode(r.node);
-      cr.probes = StageChildKeys(db, r.node, r.first, r.count);
-      if (commit_gate != nullptr) commit_gate->EndMaintainNode(r.node);
+      // Validation would miss with certainty — don't burn the compute on
+      // deltas that get thrown away; pack the scan's hash keys instead.
+      cr.probes = StageChildKeys(db, node, range.chunk.first,
+                                 range.chunk.num_rows());
       cr.probes_staged = true;
       if (metrics != nullptr) metrics->probe_staged_ranges->Inc();
     } else {
-      if (commit_gate != nullptr) waited = commit_gate->BeginMaintainNode(r.node);
       if (view_gate != nullptr) waited += view_gate->BeginRead(probe_set);
-      cr.delta = strategy->ComputeRangeDelta(r, &cr.observed, nullptr);
+      cr.deltas = strategy->ComputeRangeDeltas(range.Batches(), &cr.observed);
       if (view_gate != nullptr) view_gate->EndRead(probe_set);
-      if (commit_gate != nullptr) commit_gate->EndMaintainNode(r.node);
       cr.speculated = true;
       if (metrics != nullptr) metrics->speculated_ranges->Inc();
     }
+    if (commit_gate != nullptr) commit_gate->EndMaintainNode(node);
     if (metrics != nullptr) metrics->compute_gate_wait->Observe(waited);
-    MarkAncestorClosure(tree, r.node, &conflict);
+    MarkAncestorClosure(tree, node, &conflict);
   }
 }
 
 // MaintainEpoch's speculative sibling: per range, accept the precomputed
-// delta when its observed child versions still hold at the serial point
-// (version equality implies the child views are unchanged, so the delta is
-// bit-identical to a fresh compute), else recompute serially — consuming
-// staged probes when the compute stage packed them. Group strategies
-// validate/recompute ALL of a group's ranges against the pre-group state
-// before any of the group propagates, matching ApplyGroup's
-// compute-all-then-apply-all shape; per-range strategies validate
-// immediately before each range's propagation. Horizons are identical to
-// MaintainEpoch's (the group's LAST range / the range itself).
+// deltas when their observed child versions still hold at the range's
+// serial point (version equality implies the child views are unchanged, so
+// every delta is bit-identical to a fresh compute; the range's own batches
+// never write those children, so the check holds for all of them), else
+// recompute serially — consuming staged probes when the compute stage
+// packed them — then propagate batch by batch, exactly as MaintainEpoch
+// would.
 template <typename Strategy>
 void MaintainEpochSpeculative(Strategy* strategy,
                               ComputedEpoch<Strategy, true>* ce,
                               ViewWriteGate* gate, StreamMetrics* metrics) {
   std::vector<StreamRange>& ranges = ce->epoch.ranges;
   RELBORG_DCHECK(ce->ranges.size() == ranges.size());
-  auto range_of = [&](size_t k) {
-    const IngestChunk& chunk = ranges[k].chunk;
-    return NodeRowRange{chunk.node, chunk.first, chunk.num_rows()};
-  };
-  // Validates cr against the current views; recomputes on a miss (or when
-  // the range was never speculated). After this call cr.delta is exactly
-  // what a serial compute at this point produces.
-  auto settle = [&](typename ComputedEpoch<Strategy, true>::Range* cr,
-                    size_t k) {
-    if (cr->speculated && strategy->RangeDeltaValid(cr->observed)) {
-      if (metrics != nullptr) metrics->speculation_hits->Inc();
-      return;
+  std::vector<std::pair<int, uint64_t>> observed;
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    const StreamRange& range = ranges[i];
+    typename ComputedEpoch<Strategy, true>::Range& cr = ce->ranges[i];
+    const std::vector<NodeRowRange> batches = range.Batches();
+    const bool hit = cr.speculated && strategy->RangeDeltaValid(cr.observed);
+    if (cr.speculated && metrics != nullptr) {
+      (hit ? metrics->speculation_hits : metrics->speculation_misses)->Inc();
     }
-    if (cr->speculated && metrics != nullptr) metrics->speculation_misses->Inc();
-    cr->observed.clear();
-    cr->delta = strategy->ComputeRangeDelta(
-        range_of(k), &cr->observed,
-        cr->probes_staged ? &cr->probes : nullptr);
-  };
-  size_t i = 0;
-  while (i < ranges.size()) {
-    size_t j = i + 1;
-    if constexpr (HasApplyGroup<Strategy>::value) {
-      while (j < ranges.size() && ranges[j].group == ranges[i].group) ++j;
-      const size_t* horizon = ranges[j - 1].visible.data();
-      for (size_t k = i; k < j; ++k) settle(&ce->ranges[k], k);
-      for (size_t k = i; k < j; ++k) {
-        strategy->ApplyRangeDelta(range_of(k), std::move(ce->ranges[k].delta),
-                                  horizon, gate);
-      }
+    std::vector<typename Strategy::RangeDelta> deltas;
+    if (hit) {
+      deltas = std::move(cr.deltas);
     } else {
-      settle(&ce->ranges[i], i);
-      strategy->ApplyRangeDelta(range_of(i), std::move(ce->ranges[i].delta),
-                                ranges[i].visible.data(), gate);
+      observed.clear();
+      deltas = strategy->ComputeRangeDeltas(
+          batches, &observed, cr.probes_staged ? &cr.probes : nullptr);
     }
-    i = j;
+    ApplyRangeDeltas(strategy, range, batches, std::move(deltas), gate);
   }
 }
 
@@ -1142,6 +1183,7 @@ class StreamScheduler {
       cum_batches_ = resume->batches;
       cum_rows_ = resume->rows;
       maintained_epochs_.store(resume->epochs, std::memory_order_relaxed);
+      sealed_epochs_.store(resume->epochs, std::memory_order_relaxed);
       maintained_watermark_ = resume->watermark;
       maintained_watermark_.resize(shadow->tree().num_nodes(), 0);
       assembler_.ResumeAt(resume->epochs);
@@ -1411,17 +1453,47 @@ class StreamScheduler {
   // Stage progress heartbeat for the stall watchdog.
   void Progress() { progress_.fetch_add(1, std::memory_order_relaxed); }
 
+  // True when nothing waits behind the open epoch: no batch is queued and
+  // every sealed epoch has been maintained, so sealing now makes the open
+  // epoch visible as soon as it is maintained.
+  bool MaintainerIdle() const {
+    return ingress_.size() == 0 &&
+           maintained_epochs_.load(std::memory_order_acquire) >=
+               assembler_.sealed_epochs();
+  }
+
+  // The assembler seals on idleness at two moments: right after a batch,
+  // and when the applier wakes it because the maintainer caught up (a
+  // batch that arrived while the maintainer was busy would otherwise stay
+  // in the open epoch until the next Push, a bound or Finish).
   void AssembleLoop() {
+    using PopResult =
+        stream_internal::BoundedChannel<UpdateBatch>::PopResult;
     obs::ThreadTraceScope trace_scope(options_.trace, "assemble");
     UpdateBatch batch;
     StreamEpoch epoch;
-    while (ingress_.Pop(&batch)) {
+    PopResult popped;
+    while ((popped = ingress_.PopOrWake(&batch)) != PopResult::kClosed) {
       if (Failed()) continue;  // drain: drop without assembling
+      if (popped == PopResult::kWoken &&
+          !(assembler_.has_open() && MaintainerIdle())) {
+        continue;  // nothing waits, or the maintainer is busy again
+      }
       obs::TraceSpan span("assemble", "stage");
-      m_.batches->Inc();
-      m_.rows->Inc(static_cast<double>(batch.rows.size()));
-      if (assembler_.Add(std::move(batch), &epoch)) {
+      bool sealed = false;
+      if (popped == PopResult::kItem) {
+        m_.batches->Inc();
+        m_.rows->Inc(static_cast<double>(batch.rows.size()));
+        sealed = assembler_.Add(std::move(batch), &epoch);
+      }
+      if (!sealed && MaintainerIdle()) {
+        sealed = assembler_.Flush(&epoch);
+        if (sealed) m_.idle_seals->Inc();
+      }
+      if (sealed) {
         span.set_epoch(static_cast<int64_t>(epoch.id));
+        sealed_epochs_.store(assembler_.sealed_epochs(),
+                             std::memory_order_relaxed);
         sealed_.Push(std::move(epoch));
         epoch = StreamEpoch();
       }
@@ -1601,6 +1673,14 @@ class StreamScheduler {
       // Release pairs with ComputeLoop's acquire: an epoch observed as
       // maintained has all its folds and version bumps visible.
       maintained_epochs_.store(epoch.id + 1, std::memory_order_release);
+      // Caught up: wake the assembler so it seals batches that arrived
+      // while this epoch was maintained. sealed_epochs_ was stored before
+      // this epoch went through the channels, so it reads at least epoch.id
+      // + 1, and more only if a later epoch (whose own catch-up wakes) is
+      // already sealed.
+      if (epoch.id + 1 >= sealed_epochs_.load(std::memory_order_relaxed)) {
+        ingress_.Wake();
+      }
       // Snapshot-horizon export: the per-node watermark after this epoch's
       // last commit IS the serial replay's committed state at this epoch
       // boundary (zero-range epochs leave it unchanged). The observer runs
@@ -1624,34 +1704,43 @@ class StreamScheduler {
       m_.epoch_latency->Observe(latency);
       m_.epoch_latency_max->SetMax(latency);
       Progress();
-      MaybeCheckpoint(epoch.id);
+      MaybeCheckpoint(epoch);
     }
   }
 
-  // Runs on the applier thread right after epoch `epoch_id` was maintained
+  // Runs on the applier thread right after `epoch` was maintained
   // and (for CovarFivm) published. The snapshot it writes is the exact
   // state a serial replay of the first cum_batches_ source batches
   // produces: committed ShadowDb prefix up to the maintained watermark,
-  // plus each strategy's accumulator payload serialized byte-exact (FP
-  // folds are never recomputed at restore — summation order would differ).
-  void MaybeCheckpoint(uint64_t epoch_id) {
+  // plus each strategy's accumulator payload serialized byte-exact (folds
+  // are never recomputed at restore — that would replay the prefix).
+  //
+  // The cadence counts full-epoch equivalents of data (the epochs the
+  // bounds alone would seal, StreamEpoch::bound_epochs), not sealed epochs:
+  // with epochs sealing at their bounds it writes every every_epochs-th
+  // epoch, and early seals never add checkpoints.
+  void MaybeCheckpoint(const StreamEpoch& epoch) {
     if constexpr (!stream_internal::HasCheckpoint<Strategy>::value) {
-      (void)epoch_id;
+      (void)epoch;
       return;
     } else {
-      MaybeCheckpointImpl(epoch_id);
+      if (options_.checkpoint.path.empty() ||
+          options_.checkpoint.every_epochs == 0) {
+        return;
+      }
+      bound_epochs_since_checkpoint_ += epoch.bound_epochs;
+      if (bound_epochs_since_checkpoint_ < options_.checkpoint.every_epochs) {
+        return;
+      }
+      bound_epochs_since_checkpoint_ = 0;
+      WriteCheckpoint(epoch.id);
     }
   }
 
   template <typename S = Strategy,
             typename = std::enable_if_t<
                 stream_internal::HasCheckpoint<S>::value>>
-  void MaybeCheckpointImpl(uint64_t epoch_id) {
-    if (options_.checkpoint.path.empty() ||
-        options_.checkpoint.every_epochs == 0) {
-      return;
-    }
-    if ((epoch_id + 1) % options_.checkpoint.every_epochs != 0) return;
+  void WriteCheckpoint(uint64_t epoch_id) {
     if (RELBORG_FAULT("stream/pre-checkpoint-write")) {
       Fail("checkpoint", epoch_id,
            Status::Aborted("injected fault at stream/pre-checkpoint-write"));
@@ -1761,6 +1850,9 @@ class StreamScheduler {
   stream_internal::ViewGate view_gate_;
   const std::vector<uint8_t> all_reads_;  // whole-db read set (all ones)
   std::atomic<uint64_t> maintained_epochs_{0};
+  // Epochs sealed by the assembler (its sealed_epochs(), published for the
+  // applier's catch-up wake).
+  std::atomic<uint64_t> sealed_epochs_{0};
   // Applier-thread state: per-node committed-row horizon of the maintained
   // epoch prefix, exported to the observer at each epoch boundary.
   std::vector<size_t> maintained_watermark_;
@@ -1787,6 +1879,9 @@ class StreamScheduler {
   // exactly the first cum_batches_ source batches.
   size_t cum_batches_ = 0;
   size_t cum_rows_ = 0;
+  // Applier-thread checkpoint cadence: bound-only epochs since the last
+  // checkpoint (a resumed run starts at a checkpoint, hence at 0).
+  size_t bound_epochs_since_checkpoint_ = 0;
   // Degradation state: failed_ is the drain flag every stage polls;
   // fail_status_ (first failure wins) is what Finish/status report.
   std::atomic<bool> failed_{false};
@@ -1832,11 +1927,11 @@ StreamStats ApplyStream(ShadowDb* shadow, Strategy* strategy,
   return stats;
 }
 
-// Serial reference: the same epochs committed and maintained on the
-// caller's thread with no queues or worker threads. StreamScheduler
-// results are bit-identical to this for any thread count and any commit
-// run-ahead; with options.epoch_batches == 1 this is in turn bit-identical
-// to the classic append-then-ApplyBatch loop.
+// Serial reference: epochs sealed at their bounds only, committed and
+// maintained on the caller's thread with no queues or worker threads.
+// Bit-identical to the per-batch AppendRows + ApplyBatch loop, and the
+// StreamScheduler's results are bit-identical to both for any bounds, seal
+// timing, thread count and commit run-ahead.
 template <typename Strategy>
 StreamStats ReplayStream(ShadowDb* shadow, Strategy* strategy,
                          const std::vector<UpdateBatch>& stream,
@@ -1863,22 +1958,24 @@ StreamStats ReplayStream(ShadowDb* shadow, Strategy* strategy,
 }
 
 // One stage advancement of the step-driven pipeline below.
-enum class PipelineStep { kAssemble, kCommit, kCompute, kApply };
+enum class PipelineStep { kAssemble, kSeal, kCommit, kCompute, kApply };
 
 // Single-threaded, step-driven twin of StreamScheduler: the same stages,
 // queues, caps and maintenance code paths, advanced one explicit stage
 // step at a time with no threads and no gates. A successful step appends
-// one letter to the trace (A = feed batches until an epoch seals, C =
-// commit one epoch, X = compute/speculate one epoch, M = maintain one
-// epoch); a step that cannot make progress (empty input or full output
-// queue) returns false and changes nothing. Step is a deterministic
-// function of the current state, so replaying a recorded trace against a
-// fresh pipeline with the same (stream, options) reproduces the schedule
-// EXACTLY — the stress suite drives random traces, dumps the trace on
-// failure, and any interleaving the threaded scheduler can produce
-// (modulo gate timing, which never affects what is computed) corresponds
-// to some trace here. Results are bit-identical to ReplayStream for every
-// valid trace.
+// one letter to the trace (A = feed one batch, sealing the epoch at its
+// bounds or the stream's end, S = seal the open epoch early, C = commit
+// one epoch, X = compute/speculate one epoch, M = maintain one epoch); a
+// step that cannot make progress (empty input, no open epoch or full
+// output queue) returns false and changes nothing. Step is a
+// deterministic function of the current state, so replaying a recorded
+// trace against a fresh pipeline with the same (stream, options)
+// reproduces the schedule EXACTLY — the stress suite drives random traces,
+// dumps the trace on failure, and any interleaving and seal schedule the
+// threaded scheduler can produce (modulo gate timing, which never affects
+// what is computed) corresponds to some trace here. Results are
+// bit-identical to ReplayStream and the per-batch loop for every valid
+// trace.
 template <typename Strategy>
 class SteppedStreamPipeline {
   using Computed = stream_internal::ComputedEpoch<Strategy>;
@@ -1903,6 +2000,9 @@ class SteppedStreamPipeline {
       case PipelineStep::kAssemble:
         progressed = StepAssemble();
         break;
+      case PipelineStep::kSeal:
+        progressed = StepSeal();
+        break;
       case PipelineStep::kCommit:
         progressed = StepCommit();
         break;
@@ -1917,9 +2017,10 @@ class SteppedStreamPipeline {
     return progressed;
   }
 
-  // Round-robins the stages until everything is drained. Always
-  // terminates: whenever the pipeline is not drained, at least one stage
-  // can progress (a full queue always has a non-full consumer downstream).
+  // Round-robins the stages (all but the early seal, so epochs seal at
+  // their bounds) until everything is drained. Always terminates: whenever
+  // the pipeline is not drained, at least one stage can progress (a full
+  // queue always has a non-full consumer downstream).
   void Drain() {
     static constexpr PipelineStep kAll[] = {
         PipelineStep::kAssemble, PipelineStep::kCommit, PipelineStep::kCompute,
@@ -1941,6 +2042,8 @@ class SteppedStreamPipeline {
     switch (step) {
       case PipelineStep::kAssemble:
         return 'A';
+      case PipelineStep::kSeal:
+        return 'S';
       case PipelineStep::kCommit:
         return 'C';
       case PipelineStep::kCompute:
@@ -1961,20 +2064,29 @@ class SteppedStreamPipeline {
  private:
   bool StepAssemble() {
     if (sealed_.size() >= options_.max_queued_epochs) return false;
-    if (next_batch_ >= stream_.size() && flushed_) return false;
     StreamEpoch epoch;
-    while (next_batch_ < stream_.size()) {
+    if (next_batch_ < stream_.size()) {
       UpdateBatch batch = stream_[next_batch_++];
       m_.batches->Inc();
       m_.rows->Inc(static_cast<double>(batch.rows.size()));
       if (assembler_.Add(std::move(batch), &epoch)) {
         sealed_.push_back(std::move(epoch));
-        return true;
       }
+      return true;
     }
+    if (flushed_) return false;
     flushed_ = true;
     if (assembler_.Flush(&epoch)) sealed_.push_back(std::move(epoch));
-    return true;  // consumed the tail (and possibly sealed the flush epoch)
+    return true;  // ended the stream (and possibly sealed the flush epoch)
+  }
+
+  bool StepSeal() {
+    if (sealed_.size() >= options_.max_queued_epochs) return false;
+    StreamEpoch epoch;
+    if (!assembler_.Flush(&epoch)) return false;
+    m_.idle_seals->Inc();
+    sealed_.push_back(std::move(epoch));
+    return true;
   }
 
   bool StepCommit() {

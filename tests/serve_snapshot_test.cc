@@ -1,7 +1,9 @@
 // Differential suite for the serve layer (src/serve/snapshot_server.h):
 // every read a client thread takes from a LIVE pipeline must be byte-exact
-// against a paused-pipeline oracle at the same epoch horizon — the serial
-// replay advanced epoch-by-epoch, its state captured at every boundary.
+// against a paused-pipeline oracle at the same stream prefix — the
+// per-batch AppendRows + ApplyBatch loop, its state captured after every
+// batch (epochs seal at timing-dependent points, but always between
+// batches).
 // Covers all three strategies (zero-copy pinned serving for CovarFivm,
 // boundary copies for HigherOrderIvm / FirstOrderIvm) across ExecPolicy
 // thread counts {1, 2, 4}, plus the staleness knob, long-held snapshots
@@ -9,6 +11,7 @@
 // reader threads hammer BeginSnapshot/Covar/GroupBy against the pipeline's
 // committer, compute and applier threads).
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <thread>
@@ -62,55 +65,47 @@ int GroupByNode(const ShadowDb& shadow) {
   return children.empty() ? root : children[0];
 }
 
-// What a paused pipeline would serve at each epoch horizon. Horizon 0 is
-// the empty database; horizon h is the state after serially committing and
-// maintaining epochs [0, h).
+// What a paused pipeline would serve at each stream prefix, keyed by the
+// prefix's per-node row watermark (a snapshot's watermark names its
+// prefix exactly). The empty watermark is the empty database.
+using Watermark = std::vector<size_t>;
 struct Oracle {
-  std::map<uint64_t, CovarPayload> covar;
-  std::map<uint64_t, std::vector<size_t>> watermark;
-  std::map<uint64_t, GroupByResult> groups;  // pinned strategies only
-  uint64_t max_horizon = 0;
+  std::map<Watermark, CovarPayload> covar;
+  std::map<Watermark, GroupByResult> groups;  // pinned strategies only
+  Watermark final_watermark;
 };
 
-// Builds the oracle by advancing the serial replay one epoch at a time and
-// capturing state at every boundary — through the SAME read entry points
-// the server uses (PinServe/CovarAt/GroupByAt for CovarFivm, Current() for
-// the copy-based strategies).
+// Builds the oracle by running the per-batch loop and capturing state
+// after every batch — through the SAME read entry points the server uses
+// (PinServe/CovarAt/GroupByAt for CovarFivm, Current() for the copy-based
+// strategies).
 template <typename Strategy>
-Oracle BuildOracle(const RandomDb& db, const std::vector<UpdateBatch>& stream,
-                   const StreamOptions& options) {
+Oracle BuildOracle(const RandomDb& db, const std::vector<UpdateBatch>& stream) {
   ShadowDb shadow(db.query, 0);
   FeatureMap fm(shadow.query(), db.features);
   Strategy strategy(&shadow, &fm, MakePolicy(1));
   const int gb_node = GroupByNode(shadow);
   Oracle oracle;
-  std::vector<size_t> wm(shadow.tree().num_nodes(), 0);
-  auto record = [&](uint64_t horizon) {
-    oracle.watermark[horizon] = wm;
+  Watermark wm(shadow.tree().num_nodes(), 0);
+  auto record = [&] {
     if constexpr (serve_internal::HasServePin<Strategy>::value) {
       typename Strategy::ServePin pin = strategy.PinServe();
-      oracle.covar[horizon] = strategy.CovarAt(pin).payload();
-      oracle.groups[horizon] = strategy.GroupByAt(gb_node, pin);
+      oracle.covar[wm] = strategy.CovarAt(pin).payload();
+      oracle.groups[wm] = strategy.GroupByAt(gb_node, pin);
       strategy.UnpinServe();
     } else {
-      oracle.covar[horizon] = strategy.Current().payload();
+      oracle.covar[wm] = strategy.Current().payload();
     }
-    oracle.max_horizon = horizon;
+    oracle.final_watermark = wm;
   };
-  record(0);
-  EpochAssembler assembler(&shadow, options);
-  StreamEpoch epoch;
-  auto apply = [&] {
-    stream_internal::CommitEpoch(&shadow, &epoch);
-    stream_internal::MaintainEpoch(&strategy, &epoch);
-    if (!epoch.ranges.empty()) wm = epoch.ranges.back().visible;
-    record(epoch.id + 1);
-    epoch = StreamEpoch();
-  };
+  record();
   for (const UpdateBatch& batch : stream) {
-    if (assembler.Add(batch, &epoch)) apply();
+    if (batch.rows.empty()) continue;
+    const size_t first = shadow.AppendRows(batch.node, batch.rows, batch.sign);
+    strategy.ApplyBatch(batch.node, first, batch.rows.size());
+    wm[batch.node] += batch.rows.size();
+    record();
   }
-  if (assembler.Flush(&epoch)) apply();
   return oracle;
 }
 
@@ -184,26 +179,25 @@ void RunLiveAndCheck(const RandomDb& db, const std::vector<UpdateBatch>& stream,
     done.store(true, std::memory_order_release);
     for (std::thread& r : readers) r.join();
   }
-  uint64_t max_seen = 0;
   for (const std::vector<Observation>& per_thread : observed) {
     ASSERT_FALSE(per_thread.empty());
+    uint64_t last_horizon = 0;
     for (const Observation& o : per_thread) {
-      max_seen = std::max(max_seen, o.horizon);
-      auto covar_it = oracle.covar.find(o.horizon);
+      EXPECT_GE(o.horizon, last_horizon) << "horizons went backwards";
+      last_horizon = o.horizon;
+      auto covar_it = oracle.covar.find(o.watermark);
       ASSERT_NE(covar_it, oracle.covar.end())
-          << "server published unknown horizon " << o.horizon;
+          << "horizon " << o.horizon << " has a watermark no batch prefix has";
       ExpectPayloadExact(o.covar, covar_it->second, o.horizon);
-      EXPECT_EQ(o.watermark, oracle.watermark.at(o.horizon))
-          << "horizon " << o.horizon;
       if (o.has_groups) {
-        EXPECT_EQ(o.groups, oracle.groups.at(o.horizon))
+        EXPECT_EQ(o.groups, oracle.groups.at(o.watermark))
             << "horizon " << o.horizon;
       }
     }
-  }
-  if (serve.snapshot_every_epochs <= 1) {
-    // The post-Finish iteration of every reader sees the final horizon.
-    EXPECT_EQ(max_seen, oracle.max_horizon);
+    if (serve.snapshot_every_epochs <= 1) {
+      // The post-Finish iteration of every reader sees the whole stream.
+      EXPECT_EQ(per_thread.back().watermark, oracle.final_watermark);
+    }
   }
 }
 
@@ -211,8 +205,8 @@ class ServeSnapshotProperty
     : public ::testing::TestWithParam<std::tuple<uint64_t, Topology>> {};
 
 // The core differential property: live concurrent snapshot reads are
-// byte-exact against the paused-pipeline oracle at their horizon, for all
-// three strategies across ExecPolicy thread counts.
+// byte-exact against the paused-pipeline oracle at their stream prefix,
+// for all three strategies across ExecPolicy thread counts.
 TEST_P(ServeSnapshotProperty, LiveReadsMatchPausedPipelineOracle) {
   auto [seed, topology] = GetParam();
   RandomDb db = MakeRandomDb(seed, topology, /*fact_rows=*/40);
@@ -220,10 +214,10 @@ TEST_P(ServeSnapshotProperty, LiveReadsMatchPausedPipelineOracle) {
   ASSERT_FALSE(stream.empty());
   const StreamOptions options = CoalescingOptions();
   const ServeOptions serve;
-  const Oracle fivm = BuildOracle<CovarFivm>(db, stream, options);
-  const Oracle higher = BuildOracle<HigherOrderIvm>(db, stream, options);
-  const Oracle first = BuildOracle<FirstOrderIvm>(db, stream, options);
-  ASSERT_GT(fivm.max_horizon, 1u) << "stream too short to exercise serving";
+  const Oracle fivm = BuildOracle<CovarFivm>(db, stream);
+  const Oracle higher = BuildOracle<HigherOrderIvm>(db, stream);
+  const Oracle first = BuildOracle<FirstOrderIvm>(db, stream);
+  ASSERT_GT(fivm.covar.size(), 2u) << "stream too short to exercise serving";
   for (int threads : {1, 2, 4}) {
     RunLiveAndCheck<CovarFivm>(db, stream, options, threads, serve, fivm);
     RunLiveAndCheck<HigherOrderIvm>(db, stream, options, threads, serve,
@@ -235,7 +229,7 @@ TEST_P(ServeSnapshotProperty, LiveReadsMatchPausedPipelineOracle) {
 
 // The staleness knob: with snapshot_every_epochs = K the server only ever
 // publishes horizons that are multiples of K (plus the initial 0), and
-// every read is still byte-exact at its (staler) horizon.
+// every read is still byte-exact at its (staler) stream prefix.
 TEST_P(ServeSnapshotProperty, StalenessKnobBoundsPublishedHorizons) {
   auto [seed, topology] = GetParam();
   RandomDb db = MakeRandomDb(seed, topology, /*fact_rows=*/40);
@@ -243,8 +237,8 @@ TEST_P(ServeSnapshotProperty, StalenessKnobBoundsPublishedHorizons) {
   const StreamOptions options = CoalescingOptions();
   ServeOptions serve;
   serve.snapshot_every_epochs = 3;
-  const Oracle oracle = BuildOracle<CovarFivm>(db, stream, options);
-  // Reuse the differential harness; it asserts every observed horizon
+  const Oracle oracle = BuildOracle<CovarFivm>(db, stream);
+  // Reuse the differential harness; it asserts every observed prefix
   // exists in the oracle and matches byte-exact.
   RunLiveAndCheck<CovarFivm>(db, stream, options, /*threads=*/2, serve,
                              oracle);
@@ -255,12 +249,13 @@ TEST_P(ServeSnapshotProperty, StalenessKnobBoundsPublishedHorizons) {
   StreamScheduler<CovarFivm> scheduler(&shadow, &strategy, options);
   SnapshotServer<CovarFivm> server(&scheduler, &shadow, &strategy, serve);
   for (const UpdateBatch& batch : stream) scheduler.Push(batch);
-  scheduler.Finish();
+  StreamStats stats;
+  scheduler.Finish(&stats);
   auto txn = server.BeginSnapshot();
   EXPECT_EQ(txn.horizon_epochs() % 3, 0u);
-  EXPECT_LE(oracle.max_horizon - txn.horizon_epochs(), 2u);
+  EXPECT_LE(stats.epochs - txn.horizon_epochs(), 2u);
   server.EndSnapshot(&txn);
-  EXPECT_EQ(server.published_snapshots(), 1 + oracle.max_horizon / 3);
+  EXPECT_EQ(server.published_snapshots(), 1 + stats.epochs / 3);
 }
 
 // A transaction held open across many epochs of merge traffic still reads
@@ -271,7 +266,7 @@ TEST_P(ServeSnapshotProperty, LongHeldSnapshotsSurviveMergeTraffic) {
   RandomDb db = MakeRandomDb(seed, topology, /*fact_rows=*/40);
   std::vector<UpdateBatch> stream = MakeMixed(db, seed + 47);
   const StreamOptions options = CoalescingOptions();
-  const Oracle oracle = BuildOracle<CovarFivm>(db, stream, options);
+  const Oracle oracle = BuildOracle<CovarFivm>(db, stream);
   ShadowDb shadow(db.query, 0);
   FeatureMap fm(shadow.query(), db.features);
   CovarFivm strategy(&shadow, &fm, MakePolicy(2));
@@ -292,9 +287,11 @@ TEST_P(ServeSnapshotProperty, LongHeldSnapshotsSurviveMergeTraffic) {
   // unpin order independence at the server level.
   for (size_t i = txns.size(); i-- > 0;) {
     const uint64_t h = txns[i].horizon_epochs();
-    ExpectPayloadExact(server.Covar(txns[i]).payload(), oracle.covar.at(h),
+    const Watermark& wm = txns[i].watermark();
+    ASSERT_EQ(oracle.covar.count(wm), 1u) << "horizon " << h;
+    ExpectPayloadExact(server.Covar(txns[i]).payload(), oracle.covar.at(wm),
                        h);
-    EXPECT_EQ(server.GroupBy(txns[i], gb_node), oracle.groups.at(h));
+    EXPECT_EQ(server.GroupBy(txns[i], gb_node), oracle.groups.at(wm));
     server.EndSnapshot(&txns[i]);
   }
   EXPECT_EQ(txns.front().open(), false);
@@ -320,7 +317,7 @@ TEST(ServeModelTest, ServedModelMatchesDirectTraining) {
   stream_opts.seed = 24;
   std::vector<UpdateBatch> stream = BuildInsertStream(db.query, stream_opts);
   const StreamOptions options = CoalescingOptions();
-  const Oracle oracle = BuildOracle<CovarFivm>(db, stream, options);
+  const Oracle oracle = BuildOracle<CovarFivm>(db, stream);
   ShadowDb shadow(db.query, 0);
   FeatureMap fm(shadow.query(), db.features);
   CovarFivm strategy(&shadow, &fm, MakePolicy(2));
@@ -329,8 +326,8 @@ TEST(ServeModelTest, ServedModelMatchesDirectTraining) {
   for (const UpdateBatch& batch : stream) scheduler.Push(batch);
   scheduler.Finish();
   auto txn = server.BeginSnapshot();
-  const uint64_t h = txn.horizon_epochs();
-  ASSERT_EQ(h, oracle.max_horizon);
+  const Watermark& h = txn.watermark();
+  ASSERT_EQ(h, oracle.final_watermark);
   ASSERT_GT(oracle.covar.at(h).count, 0) << "empty join; pick another seed";
   TrainInfo cold_info;
   LinearModel served = server.TrainModel(txn, /*response=*/0, {}, &cold_info);
@@ -348,6 +345,114 @@ TEST(ServeModelTest, ServedModelMatchesDirectTraining) {
     EXPECT_NEAR(warm.weights[i], direct.weights[i], 1e-6) << i;
   }
   server.EndSnapshot(&txn);
+}
+
+// Freshness: one batch far below the epoch bounds becomes readable while
+// the pipeline is still open. Nothing queues behind it and the maintainer
+// is idle, so its epoch seals at once instead of waiting for more batches
+// or for Finish.
+TEST(ServeFreshnessTest, LoneBatchBelowTheBoundsIsReadableBeforeFinish) {
+  RandomDb db = MakeRandomDb(3, Topology::kStar, /*fact_rows=*/40);
+  UpdateStreamOptions stream_opts;
+  stream_opts.batch_size = 17;
+  stream_opts.seed = 5;
+  std::vector<UpdateBatch> stream = BuildInsertStream(db.query, stream_opts);
+  ASSERT_FALSE(stream.empty());
+  stream.resize(1);
+  const StreamOptions options;  // 8192 rows / 64 batches: far above 17 rows
+  ASSERT_LT(stream[0].rows.size(), options.epoch_rows);
+  const Oracle oracle = BuildOracle<CovarFivm>(db, stream);
+  ShadowDb shadow(db.query, 0);
+  FeatureMap fm(shadow.query(), db.features);
+  CovarFivm strategy(&shadow, &fm, MakePolicy(1));
+  StreamScheduler<CovarFivm> scheduler(&shadow, &strategy, options);
+  SnapshotServer<CovarFivm> server(&scheduler, &shadow, &strategy);
+  ASSERT_TRUE(scheduler.Push(stream[0]).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool fresh = false;
+  while (!fresh && std::chrono::steady_clock::now() < deadline) {
+    auto txn = server.BeginSnapshot();
+    if (txn.watermark() == oracle.final_watermark) {
+      ExpectPayloadExact(server.Covar(txn).payload(),
+                         oracle.covar.at(oracle.final_watermark),
+                         txn.horizon_epochs());
+      fresh = true;
+    }
+    server.EndSnapshot(&txn);
+    if (!fresh) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_TRUE(fresh) << "the batch was not readable within 10 s";
+  StreamStats stats;
+  ASSERT_TRUE(scheduler.Finish(&stats).ok());
+  EXPECT_EQ(stats.idle_seals, 1u);
+}
+
+// A batch that arrives while the maintainer is busy cannot be sealed on
+// arrival; the maintainer's catch-up must seal it, with no later Push, bound
+// or Finish. The test holds epoch 0's fold with a view read lock, pushes
+// batch 1 behind it, releases the lock and then only polls. Epoch 0 is a
+// leaf relation's batch: its delta is never empty, so it must fold (an
+// empty delta, e.g. fact rows with no dimension rows yet, folds nothing).
+TEST(ServeFreshnessTest, BatchQueuedBehindABusyMaintainerIsSealedOnCatchUp) {
+  RandomDb db = MakeRandomDb(3, Topology::kStar, /*fact_rows=*/40);
+  UpdateStreamOptions stream_opts;
+  stream_opts.batch_size = 17;
+  stream_opts.seed = 5;
+  std::vector<UpdateBatch> stream = BuildInsertStream(db.query, stream_opts);
+  ShadowDb shadow(db.query, 0);
+  size_t leaf = 0;
+  while (leaf < stream.size() &&
+         !shadow.tree().node(stream[leaf].node).children.empty()) {
+    ++leaf;
+  }
+  ASSERT_LT(leaf + 1, stream.size());
+  stream = {stream[leaf], stream[leaf + 1]};
+  const StreamOptions options;
+  const Oracle oracle = BuildOracle<CovarFivm>(db, stream);
+  FeatureMap fm(shadow.query(), db.features);
+  CovarFivm strategy(&shadow, &fm, MakePolicy(1));
+  StreamScheduler<CovarFivm> scheduler(&shadow, &strategy, options);
+  SnapshotServer<CovarFivm> server(&scheduler, &shadow, &strategy);
+  const std::vector<uint8_t> all_views(shadow.tree().num_nodes(), 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto wait_for = [&](auto done) {
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return done();
+  };
+
+  scheduler.BeginViewRead(all_views);  // epoch 0's fold waits on this
+  ASSERT_TRUE(scheduler.Push(stream[0]).ok());
+  ASSERT_TRUE(wait_for([&] { return scheduler.DeriveStats().idle_seals == 1; }))
+      << "batch 0 was not sealed on arrival";
+  ASSERT_TRUE(scheduler.Push(stream[1]).ok());
+  const bool assembled =
+      wait_for([&] { return scheduler.DeriveStats().batches == 2; });
+  // Epoch 0 is still unmaintained, so batch 1 must wait in the open epoch.
+  const size_t seals_while_busy = scheduler.DeriveStats().idle_seals;
+  scheduler.EndViewRead(all_views);
+  ASSERT_TRUE(assembled) << "batch 1 never reached the assembler";
+  EXPECT_EQ(seals_while_busy, 1u);
+
+  bool fresh = false;
+  ASSERT_TRUE(wait_for([&] {
+    auto txn = server.BeginSnapshot();
+    if (txn.watermark() == oracle.final_watermark) {
+      ExpectPayloadExact(server.Covar(txn).payload(),
+                         oracle.covar.at(oracle.final_watermark),
+                         txn.horizon_epochs());
+      fresh = true;
+    }
+    server.EndSnapshot(&txn);
+    return fresh;
+  })) << "batch 1 was not readable within 10 s of the maintainer catching up";
+  StreamStats stats;
+  ASSERT_TRUE(scheduler.Finish(&stats).ok());
+  EXPECT_EQ(stats.epochs, 2u);
+  EXPECT_EQ(stats.idle_seals, 2u);
 }
 
 }  // namespace

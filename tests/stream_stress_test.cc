@@ -6,21 +6,23 @@
 // empty batches), epoch sealing bounds, queue capacities, thread count,
 // commit overlap on/off, COMPUTE overlap on/off with a drawn run-ahead
 // depth — runs all three IVM strategies through the async scheduler, and
-// demands BIT-IDENTITY with the serial ReplayStream reference plus
-// identical structural stats. The point is adversarial coverage of the
-// overlap machinery: tiny queues force backpressure, tiny epochs force
-// commit churn, whole-stream epochs force one giant coalesced fold, deep
-// compute run-ahead forces speculation against stale snapshots (and its
-// validation misses, when speculate_past_conflicts is drawn), and the
-// commit gate + view gates + per-range watermarks must keep every
-// interleaving invisible in the results. The suite runs in the TSan CI
-// leg under the `stream-stress` CTest label.
+// demands BIT-IDENTITY with the serial ReplayStream reference and the
+// per-batch AppendRows + ApplyBatch loop, plus matching batch and row
+// counts (seal points depend on timing: the scheduler seals early when
+// its maintainer idles). The point is adversarial coverage of the overlap
+// machinery: tiny queues force backpressure, tiny epochs force commit
+// churn, whole-stream epochs force one giant epoch, deep compute run-ahead
+// forces speculation against stale snapshots (and its validation misses,
+// when speculate_past_conflicts is drawn), and the commit gate + view
+// gates + per-batch watermarks must keep every interleaving invisible in
+// the results. The suite runs in the TSan CI leg under the
+// `stream-stress` CTest label.
 //
-// Failures involving scheduler interleavings reproduce deterministically
-// through SteppedStreamPipeline: the stepped properties below drive
-// random stage traces, print the trace on failure, and the trace-replay
-// property pins that replaying a recorded trace reproduces the schedule
-// (and its stats) exactly.
+// Failures involving scheduler interleavings or seal points reproduce
+// deterministically through SteppedStreamPipeline: the stepped properties
+// below drive random stage traces (early seals included), print the trace
+// on failure, and the trace-replay property pins that replaying a
+// recorded trace reproduces the schedule (and its stats) exactly.
 //
 // Seeds follow the kPropertySeeds policy of tests/test_util.h: 6 seeds x
 // 9 drawn configurations = 54 randomized cases per property, each
@@ -39,6 +41,7 @@
 namespace relborg {
 namespace {
 
+using testing::ExpectSealCountsBounded;
 using testing::MakeRandomDb;
 using testing::RandomDb;
 using testing::Topology;
@@ -136,6 +139,22 @@ ExecPolicy MakePolicy(int threads) {
   return policy;
 }
 
+// The per-batch AppendRows + ApplyBatch loop: the reference every
+// schedule must reproduce bit for bit (empty batches are no-ops).
+template <typename Strategy>
+CovarMatrix RunLoop(const RandomDb& db,
+                    const std::vector<UpdateBatch>& stream) {
+  ShadowDb shadow(db.query, 0);
+  FeatureMap fm(shadow.query(), db.features);
+  Strategy strategy(&shadow, &fm, MakePolicy(1));
+  for (const UpdateBatch& batch : stream) {
+    if (batch.rows.empty()) continue;
+    const size_t first = shadow.AppendRows(batch.node, batch.rows, batch.sign);
+    strategy.ApplyBatch(batch.node, first, batch.rows.size());
+  }
+  return strategy.Current();
+}
+
 // Runs `stream` through one strategy (async scheduler or serial replay)
 // and returns the maintained covariance batch.
 template <typename Strategy>
@@ -158,15 +177,12 @@ void CheckDifferential(const RandomDb& db,
   StreamStats replay_stats;
   const CovarMatrix reference = RunStream<Strategy>(
       db, stream, /*async=*/false, /*threads=*/1, cfg.options, &replay_stats);
+  ExpectCovarExact(reference, RunLoop<Strategy>(db, stream));
   StreamStats async_stats;
   const CovarMatrix async = RunStream<Strategy>(
       db, stream, /*async=*/true, cfg.threads, cfg.options, &async_stats);
   ExpectCovarExact(async, reference);
-  // Structural stats are a pure function of (stream, options).
-  EXPECT_EQ(async_stats.batches, replay_stats.batches);
-  EXPECT_EQ(async_stats.rows, replay_stats.rows);
-  EXPECT_EQ(async_stats.epochs, replay_stats.epochs);
-  EXPECT_EQ(async_stats.ranges, replay_stats.ranges);
+  ExpectSealCountsBounded(async_stats, replay_stats);
   EXPECT_EQ(async_stats.rows, StreamRowCount(stream));
   // Every speculated range settles exactly once at its serial point.
   EXPECT_EQ(async_stats.speculation_hits + async_stats.speculation_misses,
@@ -179,7 +195,8 @@ class StreamStressSuite : public ::testing::TestWithParam<uint64_t> {};
 
 // The headline property: for 9 drawn configurations per seed (54 cases
 // over the suite) and all three strategies, the watermark-overlapped
-// async pipeline is bit-identical to the serial replay.
+// async pipeline is bit-identical to the serial replay and the per-batch
+// loop.
 TEST_P(StreamStressSuite, AsyncBitIdenticalAcrossRandomConfigs) {
   const uint64_t seed = GetParam();
   for (int index = 0; index < 9; ++index) {
@@ -252,8 +269,12 @@ TEST_P(StreamStressSuite, OverlapToggleIsUnobservable) {
   const CovarMatrix without_overlap = RunStream<CovarFivm>(
       db, stream, /*async=*/true, cfg.threads, off, &stats_off);
   ExpectCovarExact(with_overlap, without_overlap);
-  EXPECT_EQ(stats_on.epochs, stats_off.epochs);
-  EXPECT_EQ(stats_on.ranges, stats_off.ranges);
+  ExpectCovarExact(with_overlap, RunLoop<CovarFivm>(db, stream));
+  StreamStats replay_stats;
+  RunStream<CovarFivm>(db, stream, /*async=*/false, /*threads=*/1,
+                       cfg.options, &replay_stats);
+  ExpectSealCountsBounded(stats_on, replay_stats);
+  ExpectSealCountsBounded(stats_off, replay_stats);
 }
 
 // Compute overlap on and off must agree bitwise too: turning speculation
@@ -277,8 +298,12 @@ TEST_P(StreamStressSuite, ComputeOverlapToggleIsUnobservable) {
   const CovarMatrix without_compute = RunStream<CovarFivm>(
       db, stream, /*async=*/true, cfg.threads, off, &stats_off);
   ExpectCovarExact(with_compute, without_compute);
-  EXPECT_EQ(stats_on.epochs, stats_off.epochs);
-  EXPECT_EQ(stats_on.ranges, stats_off.ranges);
+  ExpectCovarExact(with_compute, RunLoop<CovarFivm>(db, stream));
+  StreamStats replay_stats;
+  RunStream<CovarFivm>(db, stream, /*async=*/false, /*threads=*/1,
+                       cfg.options, &replay_stats);
+  ExpectSealCountsBounded(stats_on, replay_stats);
+  ExpectSealCountsBounded(stats_off, replay_stats);
   // With the compute stage forwarding, nothing speculates or stages.
   EXPECT_EQ(stats_off.speculated_ranges, 0u);
   EXPECT_EQ(stats_off.probe_staged_ranges, 0u);
@@ -304,14 +329,16 @@ TEST_P(StreamStressSuite, FirstOrderFallsBackToSerialSchedule) {
   const CovarMatrix async = RunStream<FirstOrderIvm>(
       db, stream, /*async=*/true, cfg.threads, cfg.options, &async_stats);
   ExpectCovarExact(async, reference);
-  EXPECT_EQ(async_stats.epochs, replay_stats.epochs);
+  ExpectCovarExact(async, RunLoop<FirstOrderIvm>(db, stream));
+  ExpectSealCountsBounded(async_stats, replay_stats);
   EXPECT_EQ(async_stats.speculated_ranges, 0u);
   EXPECT_EQ(async_stats.probe_staged_ranges, 0u);
   EXPECT_EQ(async_stats.speculation_hits, 0u);
   EXPECT_EQ(async_stats.speculation_misses, 0u);
 }
 
-// Zero-range epochs (empty batches sealing alone under epoch_batches == 1)
+// Zero-range epochs (empty batches sealing alone under epoch_batches == 1,
+// or sealed early on their own)
 // flow through commit, compute and apply as no-ops that still retire in
 // order — regression for the empty-epoch edge under compute overlap.
 TEST_P(StreamStressSuite, ZeroRangeEpochsUnderComputeOverlap) {
@@ -430,6 +457,8 @@ PipelineStep StepOf(char c) {
   switch (c) {
     case 'A':
       return PipelineStep::kAssemble;
+    case 'S':
+      return PipelineStep::kSeal;
     case 'C':
       return PipelineStep::kCommit;
     case 'X':
@@ -442,15 +471,15 @@ PipelineStep StepOf(char c) {
   }
 }
 
-// Drives `pipeline` with uniformly random stage picks until drained.
-// Failed steps change nothing and leave no trace entry, so the recorded
-// trace alone reproduces the run.
+// Drives `pipeline` with uniformly random stage picks (early seals
+// included) until drained. Failed steps change nothing and leave no trace
+// entry, so the recorded trace alone reproduces the run.
 template <typename Strategy>
 void DriveRandomSteps(SteppedStreamPipeline<Strategy>* pipeline, Rng* rng) {
   static constexpr PipelineStep kAll[] = {
-      PipelineStep::kAssemble, PipelineStep::kCommit, PipelineStep::kCompute,
-      PipelineStep::kApply};
-  while (!pipeline->drained()) pipeline->Step(kAll[rng->Below(4)]);
+      PipelineStep::kAssemble, PipelineStep::kSeal, PipelineStep::kCommit,
+      PipelineStep::kCompute, PipelineStep::kApply};
+  while (!pipeline->drained()) pipeline->Step(kAll[rng->Below(5)]);
 }
 
 // Replays a recorded trace; every step of a valid trace must progress.
@@ -493,9 +522,10 @@ SteppedRun<Strategy> RunStepped(const RandomDb& db,
   return run;
 }
 
-// Random stage traces are bit-identical to the serial replay — the
-// stepped twin of AsyncBitIdenticalAcrossRandomConfigs, with the schedule
-// under explicit deterministic control instead of thread timing.
+// Random stage traces (random seal points included) are bit-identical to
+// the serial replay — the stepped twin of
+// AsyncBitIdenticalAcrossRandomConfigs, with the schedule under explicit
+// deterministic control instead of thread timing.
 TEST_P(StreamStressSuite, SteppedPipelineRandomTracesAreBitIdentical) {
   const uint64_t seed = GetParam();
   for (int index = 0; index < 3; ++index) {
@@ -517,12 +547,50 @@ TEST_P(StreamStressSuite, SteppedPipelineRandomTracesAreBitIdentical) {
                  << "config index " << 11 + index << ", pipeline trace: "
                  << run.trace);
     ExpectCovarExact(run.covar, reference);
-    EXPECT_EQ(run.stats.batches, replay_stats.batches);
-    EXPECT_EQ(run.stats.rows, replay_stats.rows);
-    EXPECT_EQ(run.stats.epochs, replay_stats.epochs);
-    EXPECT_EQ(run.stats.ranges, replay_stats.ranges);
+    ExpectSealCountsBounded(run.stats, replay_stats);
     EXPECT_EQ(run.stats.speculation_hits + run.stats.speculation_misses,
               run.stats.speculated_ranges);
+  }
+}
+
+// Random seal schedules for every strategy: epochs sealed early at random
+// points (and speculation on or off) must reproduce the per-batch loop bit
+// for bit, whatever the bounds.
+TEST_P(StreamStressSuite, SteppedRandomSealsMatchPerBatchLoop) {
+  const uint64_t seed = GetParam();
+  for (int index = 0; index < 3; ++index) {
+    StressConfig cfg = DrawConfig(seed, /*index=*/16 + index);
+    cfg.options.overlap_commits = true;
+    RandomDb db =
+        MakeRandomDb(seed + 81 + index, cfg.topology, cfg.fact_rows);
+    const std::vector<UpdateBatch> stream =
+        MakeStressStream(db, seed + 83 + index, cfg);
+    StreamStats replay_stats;
+    RunStream<CovarFivm>(db, stream, /*async=*/false, /*threads=*/1,
+                         cfg.options, &replay_stats);
+    Rng step_rng(seed * 3000017ull + static_cast<uint64_t>(index));
+    const SteppedRun<CovarFivm> fivm =
+        RunStepped<CovarFivm>(db, stream, cfg, &step_rng, nullptr);
+    const SteppedRun<HigherOrderIvm> higher =
+        RunStepped<HigherOrderIvm>(db, stream, cfg, &step_rng, nullptr);
+    const SteppedRun<FirstOrderIvm> first =
+        RunStepped<FirstOrderIvm>(db, stream, cfg, &step_rng, nullptr);
+    SCOPED_TRACE(::testing::Message()
+                 << "config index " << 16 + index << ", pipeline traces: "
+                 << fivm.trace << " / " << higher.trace << " / "
+                 << first.trace);
+    ExpectCovarExact(fivm.covar, RunLoop<CovarFivm>(db, stream));
+    ExpectCovarExact(higher.covar, RunLoop<HigherOrderIvm>(db, stream));
+    ExpectCovarExact(first.covar, RunLoop<FirstOrderIvm>(db, stream));
+    for (const StreamStats* stats :
+         {&fivm.stats, &higher.stats, &first.stats}) {
+      ExpectSealCountsBounded(*stats, replay_stats);
+    }
+    // Every stream of this size gives the random schedule room to seal
+    // early somewhere.
+    EXPECT_GT(fivm.stats.idle_seals + higher.stats.idle_seals +
+                  first.stats.idle_seals,
+              0u);
   }
 }
 

@@ -27,6 +27,7 @@
 
 #include "baseline/data_matrix.h"
 #include "core/feature_map.h"
+#include "gtest/gtest.h"
 #include "query/join_tree.h"
 #include "relational/catalog.h"
 #include "ring/covariance.h"
@@ -86,6 +87,19 @@ inline JoinQuery MakeDinnerQuery(const Catalog& catalog) {
 //    dominated by engine runs or iterative solvers).
 inline constexpr uint64_t kPropertySeeds[] = {1, 2, 3, 7, 42, 1001};
 inline constexpr uint64_t kPropertySeedsSmall[] = {3, 21, 55};
+
+// Seal-point counts of a threaded stream run (StreamStats-like `threaded`)
+// against ReplayStream's on the same stream and bounds (`replay`): the
+// scheduler seals early whenever its maintainer idles, so its epoch count
+// is timing-dependent. What holds is that batches and rows match and that
+// it seals at least the bound-only epochs and at most one per batch.
+template <typename Stats>
+void ExpectSealCountsBounded(const Stats& threaded, const Stats& replay) {
+  EXPECT_EQ(threaded.batches, replay.batches);
+  EXPECT_EQ(threaded.rows, replay.rows);
+  EXPECT_LE(replay.epochs, threaded.epochs);
+  EXPECT_LE(threaded.epochs, threaded.batches);
+}
 
 enum class Topology { kStar, kChain, kBushy };
 
